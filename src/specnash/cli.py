@@ -110,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise InvalidInputError(f"--workers must be >= 1, got {args.workers}")
         return args.handler(args)
     except (InvalidInputError, KeyError, ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from multiprocessing import Pool
 
 import numpy as np
@@ -122,11 +123,17 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
 
     Sweeps the normalized interlink distance; the channel taps of trial t
     are shared across the sweep (streams keyed by (seed, t, link)), so the
-    sweep compares distances on matched fading.
+    sweep compares distances on matched fading.  ``workers`` is capped at
+    the CPU count.
     """
     scen = cfg["scenario"]
     root_seed = int(cfg.get("seed", 0))
     trials = int(cfg.get("trials", 500))
+    if trials < 1:
+        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise InvalidInputError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     ratios = [float(r) for r in cfg.get("d_ratio_sweep", [scen.get("d_ratio", 2.0)])]
     modes = list(cfg.get("Dq_modes", ["virtual_interferer", "all"]))
     conditions = list(cfg.get("conditions", CONDITION_NAMES))

@@ -334,6 +334,52 @@ class TestCliContract:
         assert main(["montecarlo", "--config", str(cfg_path), "--out", b, "--workers", "2"]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_montecarlo_rejects_trials_below_one(self, tmp_path, trials):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(MC_CFG | {"trials": trials}))
+        out = tmp_path / "x.csv"
+        assert main(["montecarlo", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["montecarlo", "solve"])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_rejects_workers_below_one(self, tmp_path, command, workers):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(MC_CFG if command == "montecarlo" else PSD_CFG))
+        out = tmp_path / "x.csv"
+        rc = main([command, "--config", str(cfg_path), "--out", str(out), "--workers", workers])
+        assert rc == 1
+        assert not out.exists()
+
+    def test_workers_clamped_to_cpu_count(self, tmp_path, monkeypatch):
+        import specnash.experiments as experiments
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, n):
+                sizes.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return [fn(j) for j in jobs]
+
+        monkeypatch.setattr(experiments, "Pool", FakePool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        cfg = MC_CFG | {"trials": 2, "d_ratio_sweep": [2.0]}
+        run_uniqueness_mc(cfg, str(tmp_path / "a.csv"), workers=64)
+        assert sizes == [3]
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
+        run_uniqueness_mc(cfg, str(tmp_path / "b.csv"), workers=64)
+        assert sizes == [3]  # one CPU: serial, no pool
+        assert open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(PSD_CFG))

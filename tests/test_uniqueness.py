@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import specnash.uniqueness as uniqueness
 from conftest import flat_game
+from perron_oracle import oracle_spectral_radius
 from specnash import InvalidInputError, UNBOUNDED, build_game, ratio_scenario
 from specnash.channel import NormalizedGame
 from specnash.uniqueness import (
     CONDITION_NAMES,
     check_conditions,
-    coupling_matrix,
-    coupling_matrix_max,
     coupling_stack,
     is_K,
     is_P,
@@ -33,6 +35,13 @@ def char_poly_radius(M):
         m2 = 0.5 * (t**2 - np.trace(M @ M))
         coeffs = [1.0, -t, m2, -np.linalg.det(M)]
     return float(np.abs(np.roots(coeffs)).max())
+
+
+def oracle_c1_verdict(game, Dq_mode="virtual_interferer"):
+    """C1 verdict from the power-iteration oracle, None inside the 1e-9 band."""
+    stack = coupling_stack(game, usable_sets(game, Dq_mode))
+    margin = max(oracle_spectral_radius(H) for H in stack)
+    return None if abs(margin - 1.0) <= 1e-9 else margin < 1.0
 
 
 class TestSpectralRadius:
@@ -64,8 +73,51 @@ class TestSpectralRadius:
             n = int(rng.integers(2, 7))
             M = rng.exponential(1.0, (n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n))
             np.fill_diagonal(M, 0.0)
-            ref = float(np.abs(np.linalg.eigvals(M)).max())
+            ref = oracle_spectral_radius(M)
             assert abs(spectral_radius(M) - ref) <= 1e-8 * max(1.0, ref)
+
+    def test_structured_stack_against_oracle(self):
+        # Reducible, block-diagonal and nilpotent members in one stack.
+        stack = np.array([
+            [[0.0, 2.0, 0.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]],  # nilpotent
+            [[0.3, 0.0, 0.0], [0.0, 0.0, 0.7], [0.0, 0.2, 0.0]],  # block-diagonal
+            [[0.5, 4.0, 0.0], [0.0, 0.2, 9.0], [0.0, 0.0, 0.1]],  # triangular
+            [[0.0, 0.4, 0.0], [0.9, 0.0, 0.0], [5.0, 5.0, 0.0]],  # reducible, feeds out
+            np.zeros((3, 3)),
+        ])
+        got = spectral_radius(stack)
+        assert got.shape == (5,)
+        for k in range(5):
+            assert got[k] == pytest.approx(oracle_spectral_radius(stack[k]), rel=1e-10, abs=1e-12)
+        assert spectral_radius(stack.reshape(5, 1, 3, 3)).shape == (5, 1)
+
+    def test_pruned_fig1_stacks_against_oracle(self):
+        # Pruned users leave zero rows and columns in their bins' matrices.
+        pruned = 0
+        for seed in range(4):
+            ch = ratio_scenario(5, 64, gamma=2.5, d_ratio=2.0, snr_db=-10.0, seed=(17, seed),
+                                channel_order=6)
+            game = build_game(ch)
+            kept = usable_sets(game)
+            pruned += int((~kept).sum())
+            stack = coupling_stack(game, kept)
+            got = spectral_radius(stack)
+            ref = np.array([oracle_spectral_radius(H) for H in stack])
+            np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-15)
+        assert pruned > 0
+
+    def test_undecided_bracket_falls_back(self, monkeypatch):
+        # rho = 0.9 from the 1x1 block, but the other block's row sum 1.9
+        # keeps the Collatz-Wielandt upper bound above 1.
+        M = np.zeros((3, 3))
+        M[0, 0], M[1, 2], M[2, 1] = 0.9, 1.9, 0.1
+        calls = []
+        balance = uniqueness.matrix_balance
+        monkeypatch.setattr(uniqueness, "matrix_balance",
+                            lambda A: calls.append(A) or balance(A))
+        got = spectral_radius(np.stack([0.5 * np.eye(3), M, 2.0 * np.eye(3)]))
+        np.testing.assert_allclose(got, [0.5, 0.9, 2.0], rtol=1e-12)
+        assert len(calls) == 1
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
@@ -160,13 +212,13 @@ class TestCouplingMatrices:
         ch = ratio_scenario(1, 2, seed=0, channel_order=1)
         game = build_game(ch)
         kept = usable_sets(game, "all")
-        np.testing.assert_array_equal(coupling_matrix(game, kept, 0), np.zeros((1, 1)))
+        np.testing.assert_array_equal(coupling_stack(game, kept)[0], np.zeros((1, 1)))
 
     def test_symmetric_flat(self):
         game = flat_game(Q=2, coupling=0.3, N=2)
         kept = usable_sets(game, "all")
         np.testing.assert_allclose(
-            coupling_matrix(game, kept, 1), np.array([[0.0, 0.3], [0.3, 0.0]])
+            coupling_stack(game, kept)[1], np.array([[0.0, 0.3], [0.3, 0.0]])
         )
 
     def test_max_is_entrywise_max(self):
@@ -178,13 +230,13 @@ class TestCouplingMatrices:
         for q in range(3):
             for r in range(3):
                 ref[q, r] = max(stack[k][q, r] for k in range(8))
-        np.testing.assert_allclose(coupling_matrix_max(game, kept), ref)
+        np.testing.assert_allclose(stack.max(axis=0), ref)
 
     def test_gap_scales_rows(self):
         base = flat_game(Q=2, coupling=0.3, N=1)
         gapped = NormalizedGame(gain2=base.gain2, pmax=base.pmax, Gamma=np.array([2.0, 1.0]))
         kept = usable_sets(gapped, "all")
-        H = coupling_matrix(gapped, kept, 0)
+        H = coupling_stack(gapped, kept)[0]
         np.testing.assert_allclose(H, [[0.0, 0.6], [0.3, 0.0]])
 
 
@@ -199,6 +251,13 @@ class TestCheckConditions:
         report = check_conditions(flat_game(Q=2, coupling=1.5, N=2))
         assert not report.satisfied("C1")
         assert report["C1"].margin == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("coupling", [1.0 - 5e-10, 1.0 + 5e-10])
+    def test_boundary_band_is_none(self, coupling):
+        report = check_conditions(flat_game(Q=2, coupling=coupling, N=2))
+        assert report["C1"].satisfied is None
+        assert report["C2"].satisfied is None
+        assert report["C1"].margin == pytest.approx(coupling, abs=1e-12)
 
     def test_c5_threshold_two_users(self):
         # With two users the pairwise threshold is 1/(Q-1) = 1.
@@ -229,14 +288,17 @@ class TestCheckConditions:
 
 class TestInvariants:
     def test_condition_lattice(self):
-        # C5 => C3(unit weights) => C1 and C2 => C1 on random instances.
+        # C5 => C3(unit weights) => C1 and C2 => C1 on random instances, and
+        # the C1 verdict agrees with the power-iteration oracle.
         counter = 0
         for seed in range(120):
             ch = ratio_scenario(
                 2 + seed % 3, 8, d_ratio=1.0 + (seed % 7), snr_db=float(seed % 21) - 10.0,
                 seed=seed, channel_order=3,
             )
-            report = check_conditions(build_game(ch))
+            game = build_game(ch)
+            report = check_conditions(game)
+            assert report["C1"].satisfied is oracle_c1_verdict(game), seed
             c1 = report.satisfied("C1")
             c2 = report.satisfied("C2")
             c5 = report.satisfied("C5")
@@ -255,9 +317,10 @@ class TestInvariants:
         game = build_game(ch)
         kept = usable_sets(game)
         stack = coupling_stack(game, kept)
-        rho_max = spectral_radius(coupling_matrix_max(game, kept))
+        rho_max = oracle_spectral_radius(stack.max(axis=0))
+        assert (spectral_radius(stack) <= rho_max + 1e-10).all()
         for k in range(16):
-            assert spectral_radius(stack[k]) <= rho_max + 1e-10
+            assert oracle_spectral_radius(stack[k]) <= rho_max + 1e-10
 
     def test_pruning_monotonicity(self):
         # Shrinking the bin sets can only lower the per-bin radii.
@@ -274,3 +337,33 @@ class TestInvariants:
             M = rng.uniform(0, 1, (4, 4)) * (rng.uniform(0, 1, (4, 4)) < 0.5)
             w = perron_weights(M)
             assert (w > 0).all()
+
+
+@st.composite
+def games(draw):
+    """Games with gains spanning twelve decades and some dead direct bins."""
+    Q = draw(st.integers(2, 5))
+    N = draw(st.integers(1, 16))
+    log_gain = draw(arrays(np.float64, (Q, Q, N), elements=st.floats(-6.0, 6.0)))
+    dead = draw(arrays(np.bool_, (Q, N), elements=st.booleans()))
+    gain2 = 10.0 ** log_gain
+    gain2[np.arange(Q), np.arange(Q)] *= ~dead
+    Gamma = draw(arrays(np.float64, Q, elements=st.floats(1.0, 10.0)))
+    return NormalizedGame(gain2=gain2, pmax=np.full((Q, N), UNBOUNDED), Gamma=Gamma)
+
+
+class TestCertificateLatticeProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(game=games())
+    def test_lattice_and_oracle_agreement(self, game):
+        report = check_conditions(game)
+        c1 = report.satisfied("C1")
+        if report.satisfied("C2"):
+            assert c1
+        if report.satisfied("C5"):
+            assert report["C3"].detail["unit_margin"] < 1.0 - 1e-9
+        if report["C3"].detail["unit_margin"] < 1.0 - 1e-9:
+            assert c1
+        oracle = oracle_c1_verdict(game)
+        if oracle is not None:
+            assert report["C1"].satisfied is oracle
