@@ -8,8 +8,9 @@ Subcommands map onto the experiment drivers:
     specnash rate-region      --config cfg.json [--out out.csv]
     specnash verify-theorem1  --config cfg.json [--out out.json]
 
-Exit codes: 0 success, 1 config or I/O error, 2 acceptance violation
-(the diagonal-optimality oracle observed a dominance breach), 3 numeric
+Exit codes: 0 success, 1 config or I/O error (including a user whose
+budget no feasible allocation can meet), 2 acceptance violation (the
+diagonal-optimality oracle observed a dominance breach), 3 numeric
 failure.  Plotting is out of scope; the CSV files are the contract.
 """
 
@@ -20,7 +21,7 @@ import json
 import sys
 
 from .channel import build_game
-from .errors import InvalidInputError, NumericFailureError
+from .errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
 from .experiments import (
     _json_default,
     run_psd,
@@ -42,7 +43,7 @@ def _load_config(path: str, seed_override) -> dict:
 
 def _cmd_solve(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    run_psd(cfg, args.out or cfg.get("out", "psd.csv"), workers=args.workers)
+    run_psd(cfg, args.out or cfg.get("out", "psd.csv"))
     return 0
 
 
@@ -66,15 +67,13 @@ def _cmd_montecarlo(args) -> int:
 
 def _cmd_rate_region(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    run_rate_region(cfg, args.out or cfg.get("out", "rate_region.csv"), workers=args.workers)
+    run_rate_region(cfg, args.out or cfg.get("out", "rate_region.csv"))
     return 0
 
 
 def _cmd_verify_theorem1(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    report = run_verify_theorem1(
-        cfg, args.out or cfg.get("out", "theorem1.json"), workers=args.workers
-    )
+    report = run_verify_theorem1(cfg, args.out or cfg.get("out", "theorem1.json"))
     if report["total_violations"] > 0:
         print(
             f"diagonal-optimality violations: {report['total_violations']}",
@@ -102,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="output path (CSV or JSON)")
-        p.add_argument("--workers", type=int, default=1, help="trial worker processes")
+        p.add_argument("--workers", type=int, default=1, help="montecarlo worker processes")
         p.set_defaults(handler=fn)
     return parser
 
@@ -112,8 +111,11 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise InvalidInputError(f"--workers must be >= 1, got {args.workers}")
+        if args.workers != 1 and args.command != "montecarlo":
+            raise InvalidInputError(f"--workers is for montecarlo only, not {args.command}")
         return args.handler(args)
-    except (InvalidInputError, KeyError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (InvalidInputError, InfeasibleWaterfillError, KeyError, ValueError, OSError,
+            json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except NumericFailureError as err:

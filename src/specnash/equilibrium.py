@@ -101,6 +101,8 @@ def solve(
     residual = np.inf
     iterations = 0
     converged = False
+    # Jacobi's next iterate is the response map its residual already needs.
+    nxt = _response_map(p, game) if schedule == "simultaneous" else None
     for it in range(1, max_iter + 1):
         iterations = it
         if schedule == "sequential":
@@ -108,36 +110,25 @@ def solve(
             for q in order:
                 p[q] = best_response(q, p, game)
         else:
-            p = _response_map(p, game)
+            p = nxt
         if not np.isfinite(p).all():
             raise NumericFailureError(f"non-finite iterate at sweep {it}")
-        residual = float(np.abs(p - _response_map(p, game)).max())
+        nxt = _response_map(p, game)
+        residual = float(np.abs(p - nxt).max())
         trace.append(residual)
         if residual <= tol:
             converged = True
             break
 
-    profile = PowerProfile(p)
-    result = EquilibriumResult(
-        profile=profile,
+    return EquilibriumResult(
+        profile=PowerProfile(p),
         residual=residual,
         iterations=iterations,
         schedule=schedule,
         converged=converged,
-        classification=None,
+        classification=classify_profile(p, game, eps=classify_eps) if converged else None,
         trace=np.asarray(trace),
     )
-    if converged:
-        result = EquilibriumResult(
-            profile=profile,
-            residual=residual,
-            iterations=iterations,
-            schedule=schedule,
-            converged=True,
-            classification=classify_profile(p, game, eps=classify_eps),
-            trace=np.asarray(trace),
-        )
-    return result
 
 
 def classify_profile(p: np.ndarray, game: NormalizedGame, eps: float = 1e-6) -> Classification:

@@ -174,7 +174,7 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # equilibrium PSD snapshot
 
-def run_psd(cfg: dict, out_path: str, workers: int = 1) -> dict:
+def run_psd(cfg: dict, out_path: str) -> dict:
     """Solve one scenario to equilibrium and emit the per-bin powers."""
     root_seed = int(cfg.get("seed", 0))
     ch = scenario_from_config(cfg["scenario"], seed=(root_seed,))
@@ -228,7 +228,7 @@ def _lambda_label(lam) -> str:
     return ":".join(_fmt(v) for v in lam)
 
 
-def run_rate_region(cfg: dict, out_path: str, workers: int = 1) -> dict:
+def run_rate_region(cfg: dict, out_path: str) -> dict:
     """Equilibria against the cooperative frontier.
 
     mode="symmetric": one scenario; emits the gridded Pareto samples, the
@@ -327,7 +327,7 @@ def run_rate_region(cfg: dict, out_path: str, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # diagonal-optimality verification
 
-def run_verify_theorem1(cfg: dict, out_path: str, workers: int = 1) -> dict:
+def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
     """Random-precoder dominance experiment across instances and payoffs."""
     root_seed = int(cfg.get("seed", 0))
     instances = int(cfg.get("instances", 10))

@@ -20,7 +20,7 @@ from .channel import NormalizedGame
 from .equilibrium import _budget_face_grid, _grid_rates, solve
 from .errors import InvalidInputError
 from .rng import derive_rng
-from .waterfilling import PowerProfile, WaterfillInput, waterfill
+from .waterfilling import PowerProfile, WaterfillInput, level_solve, waterfill
 
 
 @dataclass(frozen=True)
@@ -110,23 +110,16 @@ def scalarized_gradient(
 def project_profile(y: np.ndarray, pmax: np.ndarray, budget: float = 1.0) -> np.ndarray:
     """Euclidean projection of one user's vector onto its strategy set.
 
-    The set is {0 <= x <= pmax, mean(x) <= budget}; when the budget cuts,
-    the simplex multiplier is found by bisection and applied inside the
-    box clip.
+    The set is {0 <= x <= pmax, mean(x) <= budget}.  When the budget cuts,
+    the projection is clip(y + mu, 0, pmax), with the shift mu solved
+    exactly as the water level of prices -y (see ``level_solve``).
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.clip(y, 0.0, pmax)
     target = budget * y.size
     if x.sum() <= target + 1e-15:
         return x
-    lo, hi = 0.0, float(y.max())
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if np.clip(y - mid, 0.0, pmax).sum() > target:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(y - hi, 0.0, pmax)
+    return np.clip(y + level_solve(-y, pmax, target), 0.0, pmax)
 
 
 def project_all(p: np.ndarray, game: NormalizedGame) -> np.ndarray:

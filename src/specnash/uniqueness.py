@@ -24,7 +24,7 @@ from scipy.linalg import matrix_balance
 
 from .channel import NormalizedGame
 from .errors import InvalidInputError, NumericFailureError
-from .waterfilling import _solve_arrays
+from .waterfilling import level_solve
 
 _BOUNDARY = 1e-9
 
@@ -115,12 +115,19 @@ def usable_carriers(game: NormalizedGame, q: int, mode: str = "virtual_interfere
     i_spread = 1.0 + virtual_gain * (pooled_budget * N / (N - 1))
     gamma_q = float(game.Gamma[q])
     pmax_q = game.pmax[q]
+    if pmax_q[alive].sum() < N:
+        # The alive bins cannot absorb the budget, so all of them saturate.
+        return alive & (pmax_q > 1e-12)
+    # One row per alive bin k: bin k is priced free of the adversary, the
+    # other bins at the spread interference, and dead bins never enter.
+    own = np.nonzero(alive)[0]
+    rows = np.arange(own.size)
+    prices = np.full((own.size, N), np.inf)
+    prices[:, alive] = gamma_q * i_spread[alive] / direct[alive]
+    prices[rows, own] = gamma_q / direct[own]
+    mu = level_solve(prices, pmax_q, float(N))
     kept = np.zeros(N, dtype=bool)
-    for k in np.nonzero(alive)[0]:
-        i = i_spread.copy()
-        i[k] = 1.0
-        p, _ = _solve_arrays(direct, i, gamma_q, pmax_q, 1.0, "sort")
-        kept[k] = p[k] > 1e-12
+    kept[own] = np.clip(mu - prices[rows, own], 0.0, pmax_q[own]) > 1e-12
     return kept
 
 

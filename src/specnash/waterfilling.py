@@ -10,15 +10,18 @@ caps allow it.  If the caps sum to less than the budget the constraint set
 pins every bin to its cap and that trivial allocation is returned.  Bins
 with g(k) = 0 carry an infinite price and always receive zero power.
 
-The level is found by an exact sort-based solve over the piecewise-linear
-supply curve (O(N log N)); a bisection path is kept as a cross-check.
-Budget is met to 1e-12 absolute, which leaves headroom for fixed-point
-residual targets of 1e-8 downstream.
+The level is found by :func:`level_solve`, an exact sort-based solve over
+the piecewise-linear supply curve (O(N log N)) that also serves stacks of
+rows at once: usable-bin pruning and the Euclidean projection onto a
+user's strategy set solve the same problem.  Budget is met to 1e-12
+absolute, which leaves headroom for fixed-point residual targets of 1e-8
+downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -107,145 +110,147 @@ class WaterfillInput:
         return float(self.pmax.mean())
 
 
-_COUNTS_CACHE: dict = {}
-
-
+@cache
 def _counts(n: int) -> np.ndarray:
-    got = _COUNTS_CACHE.get(n)
-    if got is None:
-        got = _COUNTS_CACHE[n] = np.arange(1.0, n + 1.0)
-    return got
+    return np.arange(1.0, n + 1.0)
 
 
-def _level_uncapped(prices: np.ndarray, target: float) -> float:
-    """Level for the cap-free case via the classic sorted cumulative solve."""
-    c = np.sort(prices)
-    candidates = (target + np.cumsum(c)) / _counts(c.size)
-    # Largest active set whose level still clears its worst price.
-    j = int(np.nonzero(candidates > c)[0][-1])
-    return float(candidates[j])
+@cache
+def _signs(n: int) -> np.ndarray:
+    """Supply slope change at each of n entry then n saturation breakpoints."""
+    return np.repeat([1.0, -1.0], n)
 
 
-def _level_sorted(prices: np.ndarray, caps: np.ndarray, target: float) -> float:
-    """Level mu with sum_k clip(mu - prices_k, 0, caps_k) = target.
+def _pick(a: np.ndarray, idx) -> np.ndarray:
+    """``a[..., idx]`` row by row, for a 1-D or (M, n) ``a`` and matching ``idx``."""
+    if a.ndim == 1:
+        return a[idx]
+    rows = np.arange(a.shape[0])
+    return a[rows[:, None] if idx.ndim == 2 else rows, idx]
 
-    Supply is piecewise linear and nondecreasing in mu with breakpoints at
-    each price (bin enters) and price + cap (bin saturates); walk the sorted
-    breakpoints and invert the active segment.  Raises if the total finite
-    capacity falls short of the target.
+
+def _cummean_level(prices: np.ndarray, target: np.ndarray):
+    """Levels of rows with no finite cap: the sorted cumulative-mean solve."""
+    c = np.sort(prices, axis=-1)
+    candidates = (target[..., None] + c.cumsum(-1)) / _counts(c.shape[-1])
+    # Largest active set whose level still clears its worst price; the
+    # cheapest bin always enters at a positive target.
+    clears = candidates > c
+    clears[..., 0] = True
+    mu = _pick(candidates, c.shape[-1] - 1 - clears[..., ::-1].argmax(-1))
+    if np.count_nonzero(mu == np.inf):
+        raise InfeasibleWaterfillError("every price is infinite: no bin can take power")
+    return mu
+
+
+def _walk_level(prices: np.ndarray, caps: np.ndarray, target: np.ndarray):
+    """Levels of rows by walking their sorted supply breakpoints.
+
+    Each bin enters at its price and saturates at price + cap.  A breakpoint
+    that is never reached (infinite price or cap) becomes NaN: it sorts
+    last, and the walk stops before the first one.
     """
-    finite = np.isfinite(caps)
-    if not finite.any():
-        return _level_uncapped(prices, target)
-    n_in = prices.size
-    n_out = int(finite.sum())
-    pts = np.concatenate([prices, (prices + caps)[finite]])
-    slopes = np.empty(n_in + n_out)
-    slopes[:n_in] = 1.0
-    slopes[n_in:] = -1.0
-    order = np.argsort(pts)
-    pts = pts[order]
-    active = np.cumsum(slopes[order])
-    supply = np.empty_like(pts)
-    supply[0] = 0.0
-    np.cumsum(active[:-1] * np.diff(pts), out=supply[1:])
-    if target > supply[-1]:
-        if active[-1] <= 0:
-            raise InfeasibleWaterfillError(
-                f"caps admit at most {supply[-1]:.6g} total power, budget needs {target:.6g}"
-            )
-        return float(pts[-1] + (target - supply[-1]) / active[-1])
-    j = int(np.searchsorted(supply, target, side="right")) - 1
-    if supply[j] >= target:
-        return float(pts[j])
-    return float(pts[j] + (target - supply[j]) / active[j])
+    pts = np.concatenate([prices, prices + caps], axis=-1)
+    pts[pts == np.inf] = np.nan
+    order = pts.argsort(-1)
+    pts = _pick(pts, order)
+    active = _signs(prices.shape[-1])[order].cumsum(-1)
+    supply = np.zeros(pts.shape)
+    (active[..., :-1] * (pts[..., 1:] - pts[..., :-1])).cumsum(-1, out=supply[..., 1:])
+    # Last breakpoint before the first whose supply exceeds the target or is
+    # NaN; -1 (the last one) when there is none.  supply[0] = 0 < target.
+    j = (supply <= target[..., None]).argmin(-1) - 1
+    base, s, a = _pick(pts, j), _pick(supply, j), _pick(active, j)
+    # Off the short rows s equals the target, so the step is zero.
+    mu = base + (target - s) / np.maximum(a, 1.0)
+    if np.count_nonzero((s < target) & (a <= 0) | np.isnan(mu)):
+        raise InfeasibleWaterfillError("caps cannot absorb the target, or no bin can enter")
+    return mu
 
 
-def _level_bisect(prices: np.ndarray, caps: np.ndarray, target: float, iters: int = 200) -> float:
-    """Bisection cross-check for :func:`_level_sorted`."""
-    lo = float(prices.min())
-    hi = float(prices.max()) + target
-    while np.clip(hi - prices, 0.0, caps).sum() < target:
-        hi = 2.0 * hi + 1.0
-        if not np.isfinite(hi):
-            raise InfeasibleWaterfillError("bisection bracket diverged; budget unattainable")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.clip(mid - prices, 0.0, caps).sum() < target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+def level_solve(prices, caps, target) -> np.ndarray | float:
+    """Levels mu with sum_k clip(mu - prices_k, 0, caps_k) = target.
+
+    Solves each row of ``(..., N)`` price and cap arrays (caps broadcast
+    against prices; the positive ``target`` is a scalar or has shape
+    ``(...)``) and returns shape ``(...)``, or a float for 1-D prices.
+    Supply is piecewise linear and nondecreasing in mu.  A ``+inf`` price
+    keeps its bin empty at every level; a ``+inf`` cap lets its bin grow
+    without bound.  Rows with no finite cap take the sorted
+    cumulative-mean formula; the others walk their sorted breakpoints and
+    invert the active segment.  Raises if a row's capacity falls short of
+    its target or all of its prices are infinite.
+    """
+    prices = np.asarray(prices, dtype=np.float64)
+    caps = np.asarray(caps, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    if prices.ndim == 1:
+        if caps.min() < np.inf:
+            return float(_walk_level(prices, caps, target))
+        return float(_cummean_level(prices, target))
+    shape, N = prices.shape[:-1], prices.shape[-1]
+    prices = prices.reshape(-1, N)
+    caps = np.broadcast_to(caps, shape + (N,)).reshape(-1, N)
+    target = np.broadcast_to(target, shape).reshape(-1)
+    capped = caps.min(-1) < np.inf
+    mu = np.empty(prices.shape[0])
+    if not capped.all():
+        mu[~capped] = _cummean_level(prices[~capped], target[~capped])
+    if capped.any():
+        mu[capped] = _walk_level(prices[capped], caps[capped], target[capped])
+    return mu.reshape(shape)
 
 
-def _solve_arrays(
-    g: np.ndarray, i: np.ndarray, Gamma: float, pmax: np.ndarray, budget: float, method: str
-):
-    """Shared solve on raw arrays: returns (p, mu), mu None off the level branch."""
-    if pmax.mean() < budget - _TRIVIAL_TOL:
+def _solve_arrays(g: np.ndarray, i: np.ndarray, Gamma: float, pmax: np.ndarray, budget: float):
+    """Solve on raw arrays: returns (p, mu), mu None off the level branch."""
+    if pmax.sum() / g.size < budget - _TRIVIAL_TOL:
         return pmax.copy(), None
     target = budget * g.size
     if g.min() > 0.0:
-        usable = None
         prices = Gamma * i / g
-        caps = pmax
     else:
         usable = g > 0.0
         if not usable.any():
             raise InfeasibleWaterfillError("all gains are zero with caps above budget")
         caps = pmax[usable]
-        finite = np.isfinite(caps)
-        if finite.all() and caps.sum() < target - _TRIVIAL_TOL * g.size:
+        if np.isfinite(caps).all() and caps.sum() < target - _TRIVIAL_TOL * g.size:
             # Budget unattainable on the usable bins alone: saturate them and
             # leave the remainder unused (rate-optimal, level unbounded).
-            p = np.zeros(g.size)
-            p[usable] = caps
-            return p, None
-        prices = Gamma * i[usable] / g[usable]
-    if method == "sort":
-        mu = _level_sorted(prices, caps, target)
-    elif method == "bisect":
-        mu = _level_bisect(prices, caps, target)
-    else:
-        raise InvalidInputError(f"unknown method {method!r}")
-    pu = np.clip(mu - prices, 0.0, caps)
-    err = pu.sum() - target
+            return np.where(usable, pmax, 0.0), None
+        # A dead bin's infinite price keeps it empty at every level.
+        prices = np.divide(Gamma * i, g, out=np.full(g.size, np.inf), where=usable)
+    mu = level_solve(prices, pmax, target)
+    # np.clip without its dispatch overhead, which shows at N = 64.
+    p = np.minimum(np.maximum(mu - prices, 0.0), pmax)
+    err = p.sum() - target
     if abs(err) > 1e-13 * max(1.0, target):
         # Newton polish on the interior bins guards against float drift.
-        interior = (pu > 0.0) & (pu < caps)
+        interior = (p > 0.0) & (p < pmax)
         if interior.any():
             mu -= err / interior.sum()
-            pu = np.clip(mu - prices, 0.0, caps)
-    if usable is None:
-        return pu, float(mu)
-    p = np.zeros(g.size)
-    p[usable] = pu
-    return p, float(mu)
+            p = np.minimum(np.maximum(mu - prices, 0.0), pmax)
+    return p, mu
 
 
-def _solve(inp: WaterfillInput, method: str):
-    return _solve_arrays(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget, method)
-
-
-def waterfill(inp: WaterfillInput, method: str = "sort") -> np.ndarray:
+def waterfill(inp: WaterfillInput) -> np.ndarray:
     """Optimal single-user allocation for the given prices and caps.
 
     Returns the cap vector itself when the caps cannot absorb the budget
     (the feasible set collapses onto its upper face), otherwise the
     level-clipped allocation with the budget met to 1e-12.
     """
-    p, _ = _solve(inp, method)
+    p, _ = _solve_arrays(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)
     return p
 
 
-def water_level(inp: WaterfillInput, method: str = "sort") -> float:
+def water_level(inp: WaterfillInput) -> float:
     """Level mu at which the clipped allocation meets the budget exactly.
 
     Defined only when the caps admit the budget; raises otherwise.
     """
     if inp.mask_total() < inp.budget - _TRIVIAL_TOL:
         raise InvalidInputError("caps sum below budget: the level is undefined (trivial branch)")
-    p, mu = _solve(inp, method)
+    p, mu = _solve_arrays(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)
     if mu is None:
         raise InfeasibleWaterfillError(
             "caps on usable bins cannot absorb the budget; no finite level exists"

@@ -31,6 +31,25 @@ PSD_CFG = {
 }
 
 
+# One quick config per subcommand.
+SMALL_CFGS = {
+    "solve": PSD_CFG,
+    "check-uniqueness": {"seed": 1, "scenario": PSD_CFG["scenario"]},
+    "montecarlo": MC_CFG | {"trials": 2, "d_ratio_sweep": [2.0]},
+    "rate-region": {
+        "seed": 8, "mode": "symmetric", "resolution": 5, "splits": 2,
+        "lambda_sweep": [[1.0, 1.0]],
+        "scenario": {"Q": 2, "N": 2, "gamma": 2.5, "snr_db": 8.0, "Gamma": 1.0,
+                     "channel_order": 1, "d_ratio": 3.0},
+    },
+    "verify-theorem1": {
+        "seed": 9, "instances": 1, "samples": 50, "payoffs": ["mutual_information"],
+        "scenario": {"Q": 2, "N": 4, "gamma": 2.5, "snr_db": 8.0, "Gamma": 1.0,
+                     "channel_order": 2, "d_ratio": 2.0},
+    },
+}
+
+
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -303,7 +322,7 @@ class TestCliContract:
     def test_theorem1_violation_exit_code(self, tmp_path, monkeypatch):
         import specnash.cli as cli_mod
 
-        def fake_runner(cfg, out, workers=1):
+        def fake_runner(cfg, out):
             with open(out, "w") as fh:
                 json.dump({"total_violations": 3}, fh)
             return {"total_violations": 3}
@@ -351,6 +370,43 @@ class TestCliContract:
         rc = main([command, "--config", str(cfg_path), "--out", str(out), "--workers", workers])
         assert rc == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "check-uniqueness", "rate-region",
+                                         "verify-theorem1"])
+    def test_rejects_workers_outside_montecarlo(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CFGS[command]))
+        out = tmp_path / "x.out"
+        rc = main([command, "--config", str(cfg_path), "--out", str(out), "--workers", "4"])
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --workers")
+
+    @pytest.mark.parametrize("command", sorted(SMALL_CFGS))
+    def test_workers_one_accepted_everywhere(self, tmp_path, command):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CFGS[command]))
+        out = tmp_path / "x.out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out), "--workers", "1"]) == 0
+        assert out.exists()
+
+    def test_infeasible_waterfill_exit_code(self, tmp_path, capsys):
+        # User 2's direct taps are all zero and its caps unbounded: no
+        # allocation can spend its budget.
+        taps = np.zeros((2, 2, 2, 2))
+        taps[0, 0] = [[1.0, 0.0], [0.3, 0.1]]
+        taps[0, 1] = [[0.2, 0.0], [0.1, 0.0]]
+        taps[1, 0] = [[0.3, 0.0], [0.1, 0.1]]
+        cfg = {"seed": 1, "scenario": {
+            "taps": taps.tolist(), "d": [[1.0, 3.0], [3.0, 1.0]], "gamma": 2.5,
+            "P": [10.0, 10.0], "sigma2": [1.0, 1.0], "Gamma": [1.0, 1.0], "N": 4,
+        }}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "zero" in err
 
     def test_workers_clamped_to_cpu_count(self, tmp_path, monkeypatch):
         import specnash.experiments as experiments

@@ -112,6 +112,37 @@ class TestSolve:
             p2[q] = best_response(q, res.profile.p, game)
             assert abs(rate_array(p2, game)[q] - base[q]) <= 1e-10
 
+    @pytest.mark.parametrize("tol,max_iter", [(1e-10, 2000), (1e-30, 7)])
+    def test_jacobi_one_response_map_per_sweep(self, monkeypatch, tol, max_iter):
+        import specnash.equilibrium as equilibrium
+
+        game = build_game(ratio_scenario(3, 16, d_ratio=4.0, snr_db=10.0, seed=(5,),
+                                         channel_order=3))
+        # The naive loop evaluates the map for the update and again for the
+        # residual; a converged and a capped run must match it bit for bit.
+        p = np.minimum(1.0, game.pmax)
+        trace = []
+        for it in range(1, max_iter + 1):
+            p = np.stack([best_response(q, p, game) for q in range(game.Q)])
+            nxt = np.stack([best_response(q, p, game) for q in range(game.Q)])
+            trace.append(float(np.abs(p - nxt).max()))
+            if trace[-1] <= tol:
+                break
+        calls = []
+
+        def counted(q, p, game):
+            calls.append(q)
+            return best_response(q, p, game)
+
+        monkeypatch.setattr(equilibrium, "best_response", counted)
+        res = solve(game, "simultaneous", tol=tol, max_iter=max_iter)
+        assert res.converged == (tol > 1e-20)
+        assert len(calls) == game.Q * (res.iterations + 1)
+        assert res.iterations == it
+        assert res.profile.p.tobytes() == p.tobytes()
+        assert res.residual == trace[-1]
+        assert res.trace.tobytes() == np.asarray(trace).tobytes()
+
     def test_bad_args(self):
         game = flat_game()
         with pytest.raises(InvalidInputError):

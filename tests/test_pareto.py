@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import flat_game, random_c1_game
+from level_oracle import oracle_project
 from specnash import (
     InvalidInputError,
     UNBOUNDED,
@@ -144,6 +147,39 @@ class TestProjection:
             z = rng.uniform(0, 1.5, 3)
             if z.mean() <= 0.6:
                 assert np.sum((z - y) ** 2) >= dist - 1e-9
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        y=arrays(np.float64, st.integers(1, 10), elements=st.floats(-50.0, 50.0)),
+        caps=st.data(),
+        budget=st.floats(0.05, 3.0),
+    )
+    def test_kkt_optimality(self, y, caps, budget):
+        pmax = caps.draw(arrays(np.float64, y.shape, elements=st.one_of(
+            st.floats(0.0, 5.0), st.just(UNBOUNDED))))
+        x = project_profile(y, pmax, budget)
+        tol = 1e-9 * max(1.0, float(np.abs(y).max()))
+        assert (x >= 0.0).all() and (x <= pmax).all()
+        assert x.mean() <= budget + tol
+        # Stationarity: x = clip(y - tau, 0, pmax) for one multiplier
+        # tau >= 0.  Free bins fix tau; bins at zero (tau >= y) and at their
+        # cap (tau <= y - pmax) bracket it; zero-cap bins say nothing.
+        boxed = pmax > 2.0 * tol
+        free = boxed & (x > tol) & (x < pmax - tol)
+        lo = max([0.0, *y[boxed & (x <= tol)]])
+        hi = min([np.inf, *(y - pmax)[boxed & (x >= pmax - tol)]])
+        if free.any():
+            taus = y[free] - x[free]
+            assert taus.max() - taus.min() <= tol
+            tau = float(taus.mean())
+            assert lo - tol <= tau <= hi + tol
+        else:
+            assert lo <= hi + tol
+            tau = lo
+        # Complementary slackness: a positive multiplier spends the budget.
+        if tau > tol:
+            assert abs(x.sum() - budget * y.size) <= tol * y.size
+        np.testing.assert_allclose(x, oracle_project(y, pmax, budget), rtol=0, atol=tol)
 
 
 class TestRegion:

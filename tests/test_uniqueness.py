@@ -206,6 +206,53 @@ class TestUsableCarriers:
         with pytest.raises(InvalidInputError):
             usable_carriers(game, 0, "psychic")
 
+    @staticmethod
+    def per_bin_mask(game, q):
+        """The virtual-interferer rule as one waterfill per bin under test."""
+        from specnash import WaterfillInput, waterfill
+
+        Q, N = game.Q, game.N
+        direct = game.gain2[q, q]
+        virtual = np.delete(game.gain2[:, q], q, axis=0).max(axis=0)
+        i_spread = 1.0 + virtual * ((Q - 1) * N / (N - 1))
+        kept = np.zeros(N, dtype=bool)
+        for k in np.nonzero(direct > 0)[0]:
+            i = i_spread.copy()
+            i[k] = 1.0
+            p = waterfill(WaterfillInput(g=direct, i=i, Gamma=game.Gamma[q], pmax=game.pmax[q]))
+            kept[k] = p[k] > 1e-12
+        return kept
+
+    def test_batched_masks_match_per_bin_waterfill(self):
+        # Fig. 1 games (Q=5, N=64, -10 dB) at every distance ratio.
+        pruned = 0
+        for seed in range(3):
+            for ratio in (1.0, 2.0, 4.0, 8.0):
+                ch = ratio_scenario(5, 64, d_ratio=ratio, snr_db=-10.0, seed=(seed,),
+                                    channel_order=6)
+                game = build_game(ch)
+                for q in range(game.Q):
+                    kept = usable_carriers(game, q)
+                    np.testing.assert_array_equal(kept, self.per_bin_mask(game, q))
+                    pruned += int((~kept).sum())
+        assert pruned > 0
+
+    def test_batched_masks_with_caps_and_dead_bins(self):
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            Q, N = 3, 12
+            gain2 = rng.exponential(0.3, (Q, Q, N))
+            gain2[np.arange(Q), np.arange(Q)] = rng.exponential(1.0, (Q, N))
+            gain2[0, 0, rng.random(N) < 0.3] = 0.0
+            # Loose caps, a mix of capped and uncapped bins, and caps too
+            # tight to absorb the budget.
+            scale = (2.0, 1.2, 0.6)[trial % 3]
+            pmax = rng.uniform(0.0, 2.0 * scale, (Q, N))
+            pmax[rng.random((Q, N)) < 0.3 * (trial % 2)] = UNBOUNDED
+            game = NormalizedGame(gain2=gain2, pmax=pmax, Gamma=np.full(Q, 1.5))
+            for q in range(Q):
+                np.testing.assert_array_equal(usable_carriers(game, q), self.per_bin_mask(game, q))
+
 
 class TestCouplingMatrices:
     def test_single_user_zero(self):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from level_oracle import oracle_level
 from specnash import (
     InfeasibleWaterfillError,
     InvalidInputError,
@@ -12,6 +15,7 @@ from specnash import (
     water_level,
     waterfill,
 )
+from specnash.waterfilling import level_solve
 
 INF = UNBOUNDED
 
@@ -91,7 +95,9 @@ class TestWaterfill:
 
     def test_sort_vs_bisect(self, rng):
         for inp in random_inputs(rng, 40, masked=True):
-            assert water_level(inp) == pytest.approx(water_level(inp, method="bisect"), abs=1e-9)
+            prices = inp.Gamma * inp.i / inp.g
+            ref = oracle_level(prices, inp.pmax, inp.budget * inp.N)
+            assert water_level(inp) == pytest.approx(ref, abs=1e-9)
 
     def test_budget_tolerance(self, rng):
         for inp in random_inputs(rng, 200) + random_inputs(rng, 200, masked=True):
@@ -127,6 +133,76 @@ class TestWaterfill:
             WaterfillInput(g=[1, 1], i=[1, 1], Gamma=0.5, pmax=[INF, INF])
         with pytest.raises(InvalidInputError):
             WaterfillInput(g=[1, 1], i=[1, 1], Gamma=1, pmax=[INF, INF], budget=0.0)
+
+
+@st.composite
+def level_problems(draw):
+    """Batched level solves: prices may be +inf (never enter), caps +inf
+    (never saturate) or too small for the target."""
+    batch = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    N = draw(st.integers(1, 12))
+    prices = draw(arrays(np.float64, batch + (N,), elements=st.one_of(
+        st.floats(-1e3, 1e3), st.just(INF))))
+    caps = draw(arrays(np.float64, batch + (N,), elements=st.one_of(
+        st.floats(0.0, 5.0), st.just(INF))))
+    if draw(st.booleans()):
+        target = draw(st.floats(0.05, 1.5)) * N
+    else:
+        target = draw(arrays(np.float64, batch, elements=st.floats(0.05, 1.5))) * N
+    return prices, caps, target
+
+
+class TestLevelSolve:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(problem=level_problems())
+    def test_matches_bisection_oracle(self, problem):
+        prices, caps, target = problem
+        rows_p = prices.reshape(-1, prices.shape[-1])
+        rows_c = caps.reshape(rows_p.shape)
+        rows_t = np.broadcast_to(target, prices.shape[:-1]).reshape(-1)
+        refs, ties = [], []
+        for pr, cp, t in zip(rows_p, rows_c, rows_t):
+            try:
+                refs.append(oracle_level(pr, cp, t))
+            except InfeasibleWaterfillError:
+                refs.append(None)
+            # A capacity that meets the target to rounding may go either way.
+            ties.append(abs(cp[np.isfinite(pr)].sum() - t) <= 1e-12 * t)
+        if any(ref is None and not tie for ref, tie in zip(refs, ties)):
+            with pytest.raises(InfeasibleWaterfillError):
+                level_solve(prices, caps, target)
+            return
+        try:
+            mu = np.reshape(level_solve(prices, caps, target), -1)
+        except InfeasibleWaterfillError:
+            assert any(ties)
+            return
+        for m, (pr, cp, t) in enumerate(zip(rows_p, rows_c, rows_t)):
+            scale = max(1.0, abs(mu[m]))
+            x = np.clip(mu[m] - pr, 0.0, cp)
+            assert abs(x.sum() - t) <= 1e-9 * scale
+            if refs[m] is not None:
+                # The level can be non-unique where supply is flat; the
+                # allocation it induces cannot.
+                assert np.abs(x - np.clip(refs[m] - pr, 0.0, cp)).max() <= 1e-9 * scale
+            # Each batched row is bit-equal to the same row solved alone.
+            assert np.float64(level_solve(pr, cp, t)).tobytes() == mu[m].tobytes()
+
+    def test_all_prices_infinite_raises(self):
+        for caps in ([1.0, 2.0], [INF, INF]):
+            with pytest.raises(InfeasibleWaterfillError):
+                level_solve(np.full(2, INF), np.array(caps), 1.0)
+
+    def test_dead_bin_matches_subset(self):
+        # An infinite price gives bit-for-bit the level of the live bins alone.
+        prices = np.array([0.5, INF, 1.25, 0.1, INF])
+        caps = np.array([1.0, 2.0, INF, 0.7, 0.3])
+        live = np.isfinite(prices)
+        for target in (0.4, 1.3, 3.0):
+            ref = level_solve(prices[live], caps[live], target)
+            assert level_solve(prices, caps, target) == ref
+        ref = level_solve(prices[live], np.full(3, INF), 2.0)
+        assert level_solve(prices, np.full(5, INF), 2.0) == ref
 
 
 class TestKktResidual:
