@@ -122,6 +122,10 @@ class NormalizedGame:
             raise InvalidInputError("pmax must be (Q, N) and nonnegative")
         if self.Gamma.shape != (self.Q,) or (self.Gamma < 1).any():
             raise InvalidInputError("Gamma must be (Q,) with entries >= 1")
+        # Kept contiguous: every best response multiplies by them.
+        direct = self.gain2.diagonal().T.copy()
+        direct.flags.writeable = False
+        object.__setattr__(self, "_direct", direct)
 
     @property
     def Q(self) -> int:
@@ -132,9 +136,20 @@ class NormalizedGame:
         return self.gain2.shape[2]
 
     def direct_gain2(self) -> np.ndarray:
-        """Direct-link gains, shape (Q, N)."""
-        q = np.arange(self.Q)
-        return self.gain2[q, q, :]
+        """Direct-link gains, shape (Q, N), read-only."""
+        return self._direct
+
+    def interference(self, p: np.ndarray) -> np.ndarray:
+        """Interference-plus-noise factors of a (Q, N) profile, shape (Q, N).
+
+        ``i_q(k) = 1 + sum_{r != q} gain2[r, q, k] p_r(k)``, clamped at 1
+        against the rounding of the own-term subtraction.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        i = np.einsum("rqk,rk->qk", self.gain2, p)
+        i += 1.0
+        i -= self._direct * p
+        return np.maximum(i, 1.0, out=i)
 
     def scaled_powers(self, factors: np.ndarray) -> "NormalizedGame":
         """Game with each budget P_r multiplied by ``factors[r]``.

@@ -20,17 +20,14 @@ import argparse
 import json
 import sys
 
-from .channel import build_game
 from .errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
 from .experiments import (
-    _json_default,
+    run_check_uniqueness,
     run_psd,
     run_rate_region,
     run_uniqueness_mc,
     run_verify_theorem1,
-    scenario_from_config,
 )
-from .uniqueness import check_conditions
 
 
 def _load_config(path: str, seed_override) -> dict:
@@ -49,13 +46,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check_uniqueness(args) -> int:
     cfg = _load_config(args.config, args.seed)
-    ch = scenario_from_config(cfg["scenario"], seed=(int(cfg.get("seed", 0)),))
-    game = build_game(ch)
-    report = check_conditions(game, Dq_mode=cfg.get("Dq_mode", "virtual_interferer"))
-    out = args.out or cfg.get("out", "uniqueness.json")
-    with open(out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    run_check_uniqueness(cfg, args.out or cfg.get("out", "uniqueness.json"))
     return 0
 
 

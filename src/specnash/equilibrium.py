@@ -52,12 +52,8 @@ class EquilibriumResult:
 
 def best_response(q: int, p: np.ndarray, game: NormalizedGame) -> np.ndarray:
     """Waterfilling response of user q against the interference in ``p``."""
-    p = np.asarray(p, dtype=np.float64)
-    i = 1.0 + np.einsum("rk,rk->k", game.gain2[:, q, :], p) - game.gain2[q, q, :] * p[q]
-    # Clamp rounding: the factor is >= 1 by construction.
-    np.maximum(i, 1.0, out=i)
     inp = WaterfillInput(
-        g=game.gain2[q, q, :], i=i, Gamma=game.Gamma[q], pmax=game.pmax[q], budget=1.0
+        g=game.gain2[q, q, :], i=game.interference(p)[q], Gamma=game.Gamma[q], pmax=game.pmax[q]
     )
     return waterfill(inp)
 
@@ -293,7 +289,7 @@ def _budget_face_grid(pmax_q: np.ndarray, grid: int) -> np.ndarray:
     N = pmax_q.size
     total = float(N)
     cap = np.minimum(pmax_q, total)
-    if cap.sum() < total - 1e-15:
+    if cap.sum() < total:
         return pmax_q[None, :].copy()
     if N == 1:
         return np.array([[min(1.0, cap[0])]])

@@ -31,14 +31,23 @@ from .uniqueness import CONDITION_NAMES, check_conditions
 
 CSV_SCHEMA_VERSION = 1
 
+_RAW_KEYS = {"taps", "d", "gamma", "P", "sigma2", "Gamma", "N", "pmax_bar"}
+_RATIO_KEYS = {"Q", "N", "gamma", "d_ratio", "snr_db", "Gamma", "channel_order",
+               "tap_variance", "tap_decay", "d"}
+
 
 def scenario_from_config(scen: dict, seed) -> ChannelSet:
     """Build a ChannelSet from a config fragment.
 
     Raw entry: explicit taps (nested [re, im] pairs), distances, powers.
     Ratio entry: Q/N plus gamma, d_ratio, snr_db, Gamma, channel_order;
-    the taps are drawn from streams keyed by ``seed``.
+    the taps are drawn from streams keyed by ``seed``.  A key the entry
+    does not use is rejected.
     """
+    kind, keys = ("raw", _RAW_KEYS) if "taps" in scen else ("ratio", _RATIO_KEYS)
+    unknown = ", ".join(sorted(set(scen) - keys))
+    if unknown:
+        raise InvalidInputError(f"unknown {kind} scenario keys: {unknown}")
     if "taps" in scen:
         taps = np.asarray(scen["taps"], dtype=np.float64)
         if taps.ndim != 4 or taps.shape[-1] != 2:
@@ -62,12 +71,9 @@ def scenario_from_config(scen: dict, seed) -> ChannelSet:
             Gamma=np.asarray(scen["Gamma"], dtype=np.float64),
             N=N,
         )
-    kwargs = {}
-    for key in ("gamma", "d_ratio", "snr_db", "Gamma", "channel_order", "tap_variance", "tap_decay"):
-        if key in scen:
-            kwargs[key] = scen[key]
-    if "d" in scen:
-        kwargs["d"] = np.asarray(scen["d"], dtype=np.float64)
+    kwargs = {k: v for k, v in scen.items() if k not in ("Q", "N")}
+    if "d" in kwargs:
+        kwargs["d"] = np.asarray(kwargs["d"], dtype=np.float64)
     return ratio_scenario(int(scen["Q"]), int(scen["N"]), seed=seed, **kwargs)
 
 
@@ -83,13 +89,17 @@ def _write_csv(path: str, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+
+
 def _write_meta(path: str, payload: dict) -> None:
     payload = dict(payload)
     payload["csv_schema_version"] = CSV_SCHEMA_VERSION
     payload["package_version"] = __version__
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_json(path + ".meta.json", payload)
 
 
 def _json_default(o):
@@ -169,6 +179,18 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
         },
     )
     return {"probs": probs, "trials": trials, "ratios": ratios, "modes": modes}
+
+
+# ---------------------------------------------------------------------------
+# uniqueness conditions of one scenario
+
+def run_check_uniqueness(cfg: dict, out_path: str) -> dict:
+    """Evaluate the seven uniqueness conditions and emit the JSON report."""
+    ch = scenario_from_config(cfg["scenario"], seed=(int(cfg.get("seed", 0)),))
+    report = check_conditions(build_game(ch), Dq_mode=cfg.get("Dq_mode", "virtual_interferer"))
+    payload = report.to_dict()
+    _write_json(out_path, payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +392,5 @@ def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
         "worst_gap": float(worst_gap),
         "results": results,
     }
-    with open(out_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    _write_json(out_path, report)
     return report
-
-
-RUNNERS = {
-    "uniqueness_mc": run_uniqueness_mc,
-    "psd": run_psd,
-    "rate_region": run_rate_region,
-    "verify_theorem1": run_verify_theorem1,
-}

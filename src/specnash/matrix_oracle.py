@@ -243,8 +243,7 @@ def verify_diagonal_optimality(
     opponents = np.asarray(opponents, dtype=np.float64)
 
     gap = 1.0 if payoff == "mutual_information" else float(ch.Gamma[q] if Gamma is None else Gamma)
-    i = 1.0 + np.einsum("rk,rk->k", game.gain2[:, q, :], opponents) - game.gain2[q, q, :] * opponents[q]
-    np.maximum(i, 1.0, out=i)
+    i = game.interference(opponents)[q]
     p_star = waterfill(
         WaterfillInput(g=game.gain2[q, q, :], i=i, Gamma=gap, pmax=game.pmax[q], budget=1.0)
     )

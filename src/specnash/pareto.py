@@ -43,18 +43,11 @@ def _check_weights(weights, Q: int) -> np.ndarray:
     return w
 
 
-def _interference(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
-    """Per-user interference-plus-noise factors i_q(k), shape (Q, N)."""
-    direct = game.direct_gain2()
-    total = np.einsum("rqk,rk->qk", game.gain2, p)
-    return np.maximum(1.0 + total - direct * p, 1.0)
-
-
 def rate_array(p: np.ndarray, game: NormalizedGame, base: float = 2.0) -> np.ndarray:
     """Per-user information rates of a profile, shape (Q,)."""
     p = np.asarray(p, dtype=np.float64)
     direct = game.direct_gain2()
-    sinr = direct * p / _interference(p, game)
+    sinr = direct * p / game.interference(p)
     return np.log1p(sinr / game.Gamma[:, None]).sum(axis=1) / (game.N * np.log(base))
 
 
@@ -83,8 +76,7 @@ def rate_gradient(
     """
     p = np.asarray(p, dtype=np.float64)
     g = game.gain2[q, q, :]
-    i = 1.0 + np.einsum("rk,rk->k", game.gain2[:, q, :], p) - g * p[q]
-    np.maximum(i, 1.0, out=i)
+    i = game.interference(p)[q]
     scaled = g / game.Gamma[q]
     d = i + scaled * p[q]
     coef = 1.0 / (game.N * np.log(base))
@@ -239,12 +231,14 @@ def sample_rate_region(
     raise InvalidInputError(f"unknown budget_mode {budget_mode!r}")
 
 
-def _ascend(value, gradient, project, p0: np.ndarray, step: float, tol: float, max_iter: int):
-    """Projected gradient ascent with halving backtracking."""
-    p = project(p0)
+def _ascent(value, gradient, project, p: np.ndarray, step: float):
+    """Projected gradient ascent from a feasible ``p`` with halving backtracking.
+
+    Yields ``(p, value(p), sup-norm move)`` after every step, without end.
+    """
     val = value(p)
     alpha = step
-    for _ in range(max_iter):
+    while True:
         g = gradient(p)
         while True:
             cand = project(p + alpha * g)
@@ -258,9 +252,7 @@ def _ascend(value, gradient, project, p0: np.ndarray, step: float, tol: float, m
         move = float(np.abs(cand - p).max())
         p, val = cand, cand_val
         alpha = min(step, alpha * 1.8)
-        if move <= tol:
-            break
-    return p, val
+        yield p, val, move
 
 
 @dataclass(frozen=True)
@@ -307,7 +299,11 @@ def solve_scalarized(
             p0 = np.minimum(1.0, game.pmax)
         else:
             p0 = random_feasible_profile(game, derive_rng(seed, s), sparse=(s % 2 == 0))
-        p, val = _ascend(value, gradient, project, p0, step, tol, max_iter)
+        p = project(p0)
+        val = value(p)
+        for _, (p, val, move) in zip(range(max_iter), _ascent(value, gradient, project, p, step)):
+            if move <= tol:
+                break
         values[s] = val
         if val > best_val:
             best_p, best_val = p, val
@@ -354,25 +350,11 @@ def solve_modified_game(
     def play_gradient(x):
         return scalarized_gradient(x, game, w, base=base) / w[:, None]
 
-    val = objective(p)
-    alpha = step
     residual = np.inf
     iterations = 0
     converged = False
-    for it in range(1, max_iter + 1):
-        iterations = it
-        g = play_gradient(p)
-        while True:
-            cand = project_all(p + alpha * g, game)
-            cand_val = objective(cand)
-            if cand_val >= val - 1e-14:
-                break
-            alpha *= 0.5
-            if alpha < 1e-13:
-                cand, cand_val = p, val
-                break
-        p, val = cand, cand_val
-        alpha = min(step, alpha * 1.8)
+    steps = _ascent(objective, play_gradient, lambda x: project_all(x, game), p, step)
+    for iterations, (p, _, _) in zip(range(1, max_iter + 1), steps):
         residual = float(np.abs(project_all(p + play_gradient(p), game) - p).max())
         if residual <= tol:
             converged = True
@@ -400,32 +382,27 @@ def _worst_opponents(
     game: NormalizedGame, q: int, p_q: np.ndarray, p0: np.ndarray, base: float,
     tol: float, max_iter: int,
 ) -> np.ndarray:
-    """Opponent profile minimizing user q's rate at fixed p_q (convex)."""
-    others = [r for r in range(game.Q) if r != q]
+    """Opponent profile minimizing user q's rate at fixed p_q (convex).
+
+    Ascends the negated rate; row q's zeroed gradient keeps p_q in place.
+    """
     p = p0.copy()
     p[q] = p_q
 
     def value(x):
-        return float(rate_array(x, game, base=base)[q])
+        return -float(rate_array(x, game, base=base)[q])
 
-    val = value(p)
-    alpha = 1.0
-    for _ in range(max_iter):
-        grad = rate_gradient(p, game, q, base=base)
-        cand = p.copy()
-        while True:
-            for r in others:
-                cand[r] = project_profile(p[r] - alpha * grad[r], game.pmax[r])
-            cand_val = value(cand)
-            if cand_val <= val + 1e-14:
-                break
-            alpha *= 0.5
-            if alpha < 1e-13:
-                cand, cand_val = p, val
-                break
-        move = float(max(np.abs(cand[r] - p[r]).max() for r in others))
-        p, val = cand, cand_val
-        alpha = min(1.0, alpha * 1.8)
+    def gradient(x):
+        g = -rate_gradient(x, game, q, base=base)
+        g[q] = 0.0
+        return g
+
+    def project(x):
+        return np.stack(
+            [x[r] if r == q else project_profile(x[r], game.pmax[r]) for r in range(game.Q)]
+        )
+
+    for _, (p, _, move) in zip(range(max_iter), _ascent(value, gradient, project, p, 1.0)):
         if move <= tol:
             break
     return p
@@ -515,5 +492,5 @@ def low_interference_rate(
     if (p <= 0).any():
         raise InvalidInputError("approximation needs strictly positive power on every bin")
     direct = game.direct_gain2()
-    ratio = direct * p / (game.Gamma[:, None] * _interference(p, game))
+    ratio = direct * p / (game.Gamma[:, None] * game.interference(p))
     return np.log(ratio).sum(axis=1) / (game.N * np.log(base))

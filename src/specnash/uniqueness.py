@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import matrix_balance
 
 from .channel import NormalizedGame
-from .errors import InvalidInputError, NumericFailureError
+from .errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
 from .waterfilling import level_solve
 
 _BOUNDARY = 1e-9
@@ -115,9 +115,6 @@ def usable_carriers(game: NormalizedGame, q: int, mode: str = "virtual_interfere
     i_spread = 1.0 + virtual_gain * (pooled_budget * N / (N - 1))
     gamma_q = float(game.Gamma[q])
     pmax_q = game.pmax[q]
-    if pmax_q[alive].sum() < N:
-        # The alive bins cannot absorb the budget, so all of them saturate.
-        return alive & (pmax_q > 1e-12)
     # One row per alive bin k: bin k is priced free of the adversary, the
     # other bins at the spread interference, and dead bins never enter.
     own = np.nonzero(alive)[0]
@@ -125,7 +122,11 @@ def usable_carriers(game: NormalizedGame, q: int, mode: str = "virtual_interfere
     prices = np.full((own.size, N), np.inf)
     prices[:, alive] = gamma_q * i_spread[alive] / direct[alive]
     prices[rows, own] = gamma_q / direct[own]
-    mu = level_solve(prices, pmax_q, float(N))
+    try:
+        mu = level_solve(prices, pmax_q, float(N))
+    except InfeasibleWaterfillError:
+        # The alive bins cannot absorb the budget, so all of them saturate.
+        return alive & (pmax_q > 1e-12)
     kept = np.zeros(N, dtype=bool)
     kept[own] = np.clip(mu - prices[rows, own], 0.0, pmax_q[own]) > 1e-12
     return kept

@@ -6,9 +6,13 @@ Gamma and per-bin caps, the operator returns
     p(k) = clip(mu - Gamma * i(k) / g(k), 0, pmax(k)),
 
 with the level mu chosen so that mean_k p(k) equals the budget whenever the
-caps allow it.  If the caps sum to less than the budget the constraint set
-pins every bin to its cap and that trivial allocation is returned.  Bins
-with g(k) = 0 carry an infinite price and always receive zero power.
+caps allow it.  The caps absorb the budget exactly when the caps of the
+bins that can enter sum to at least N * budget, with no tolerance (caps
+summing to exactly that put every bin at its cap).  If all caps sum to
+less, the constraint set pins every bin to its cap and that trivial
+allocation is returned; if only the usable bins fall short, they are
+saturated.  Bins with g(k) = 0 carry an infinite price and receive zero
+power whenever the budget can be met.
 
 The level is found by :func:`level_solve`, an exact sort-based solve over
 the piecewise-linear supply curve (O(N log N)) that also serves stacks of
@@ -27,9 +31,6 @@ import numpy as np
 
 from .channel import NormalizedGame
 from .errors import InfeasibleWaterfillError, InvalidInputError
-
-# Mask-sum shortfalls smaller than this are treated as exact ties.
-_TRIVIAL_TOL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -105,10 +106,6 @@ class WaterfillInput:
     def N(self) -> int:
         return self.g.size
 
-    def mask_total(self) -> float:
-        """Mean of the caps (inf if any bin is uncapped)."""
-        return float(self.pmax.mean())
-
 
 @cache
 def _counts(n: int) -> np.ndarray:
@@ -143,13 +140,25 @@ def _cummean_level(prices: np.ndarray, target: np.ndarray):
     return mu
 
 
+def _capacity(caps: np.ndarray, enterable=True):
+    """Sum of the caps of the enterable bins, row by row.
+
+    The one capacity rule: caps absorb a target exactly when this sum is at
+    least the target, compared with no tolerance.
+    """
+    return np.where(enterable, caps, 0.0).sum(-1)
+
+
 def _walk_level(prices: np.ndarray, caps: np.ndarray, target: np.ndarray):
     """Levels of rows by walking their sorted supply breakpoints.
 
     Each bin enters at its price and saturates at price + cap.  A breakpoint
     that is never reached (infinite price or cap) becomes NaN: it sorts
-    last, and the walk stops before the first one.
+    last, and the walk stops before the first one.  Past the last
+    breakpoint every bin sits at its cap.
     """
+    if np.count_nonzero(_capacity(caps, prices < np.inf) < target):
+        raise InfeasibleWaterfillError("caps cannot absorb the target, or no bin can enter")
     pts = np.concatenate([prices, prices + caps], axis=-1)
     pts[pts == np.inf] = np.nan
     order = pts.argsort(-1)
@@ -161,11 +170,9 @@ def _walk_level(prices: np.ndarray, caps: np.ndarray, target: np.ndarray):
     # NaN; -1 (the last one) when there is none.  supply[0] = 0 < target.
     j = (supply <= target[..., None]).argmin(-1) - 1
     base, s, a = _pick(pts, j), _pick(supply, j), _pick(active, j)
-    # Off the short rows s equals the target, so the step is zero.
-    mu = base + (target - s) / np.maximum(a, 1.0)
-    if np.count_nonzero((s < target) & (a <= 0) | np.isnan(mu)):
-        raise InfeasibleWaterfillError("caps cannot absorb the target, or no bin can enter")
-    return mu
+    # With no bin active (past the last breakpoint) the step only makes up
+    # the rounding of the supply sum; on the short rows s equals the target.
+    return base + (target - s) / np.maximum(a, 1.0)
 
 
 def level_solve(prices, caps, target) -> np.ndarray | float:
@@ -203,23 +210,23 @@ def level_solve(prices, caps, target) -> np.ndarray | float:
 
 def _solve_arrays(g: np.ndarray, i: np.ndarray, Gamma: float, pmax: np.ndarray, budget: float):
     """Solve on raw arrays: returns (p, mu), mu None off the level branch."""
-    if pmax.sum() / g.size < budget - _TRIVIAL_TOL:
-        return pmax.copy(), None
     target = budget * g.size
     if g.min() > 0.0:
         prices = Gamma * i / g
     else:
-        usable = g > 0.0
-        if not usable.any():
-            raise InfeasibleWaterfillError("all gains are zero with caps above budget")
-        caps = pmax[usable]
-        if np.isfinite(caps).all() and caps.sum() < target - _TRIVIAL_TOL * g.size:
-            # Budget unattainable on the usable bins alone: saturate them and
-            # leave the remainder unused (rate-optimal, level unbounded).
-            return np.where(usable, pmax, 0.0), None
         # A dead bin's infinite price keeps it empty at every level.
-        prices = np.divide(Gamma * i, g, out=np.full(g.size, np.inf), where=usable)
-    mu = level_solve(prices, pmax, target)
+        prices = np.divide(Gamma * i, g, out=np.full(g.size, np.inf), where=g > 0.0)
+    try:
+        mu = level_solve(prices, pmax, target)
+    except InfeasibleWaterfillError:
+        # The caps of the usable bins cannot absorb the budget.
+        if _capacity(pmax) < target:
+            # Neither can all caps: the strategy set collapses onto them.
+            return pmax.copy(), None
+        if not (g > 0.0).any():
+            raise InfeasibleWaterfillError("all gains are zero with caps above budget")
+        # Saturate the usable bins, the rest unused (rate-optimal, level unbounded).
+        return np.where(g > 0.0, pmax, 0.0), None
     # np.clip without its dispatch overhead, which shows at N = 64.
     p = np.minimum(np.maximum(mu - prices, 0.0), pmax)
     err = p.sum() - target
@@ -248,7 +255,7 @@ def water_level(inp: WaterfillInput) -> float:
 
     Defined only when the caps admit the budget; raises otherwise.
     """
-    if inp.mask_total() < inp.budget - _TRIVIAL_TOL:
+    if _capacity(inp.pmax) < inp.budget * inp.N:
         raise InvalidInputError("caps sum below budget: the level is undefined (trivial branch)")
     p, mu = _solve_arrays(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)
     if mu is None:
@@ -279,13 +286,12 @@ def kkt_residual(p: np.ndarray, inp: WaterfillInput, feas_tol: float = 1e-9) -> 
 
     usable = inp.g > 0
     atol = 1e-12 * max(1.0, inp.budget)
-    mask_total = inp.mask_total()
-    capacity = inp.pmax[usable].sum() / inp.N if usable.any() else 0.0
+    target = inp.budget * inp.N
 
-    if mask_total < inp.budget - _TRIVIAL_TOL:
+    if _capacity(inp.pmax) < target:
         # Trivial branch: the unique optimum is the cap vector.
         return float(np.abs(p - inp.pmax).max())
-    if capacity < inp.budget - _TRIVIAL_TOL:
+    if _capacity(inp.pmax, usable) < target:
         # Saturation branch: usable bins at cap, dead bins irrelevant.
         return float(np.abs(p[usable] - inp.pmax[usable]).max()) if usable.any() else 0.0
 

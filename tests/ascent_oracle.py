@@ -1,0 +1,162 @@
+"""Projected-gradient loops as written before ``pareto._ascent`` existed.
+
+``pareto`` now runs one ascent generator for the weighted-sum optimum, the
+side-payment game and the inner minimization of the max-min bound.  The
+three loops it replaced are kept here verbatim, wrapped in the outer code
+of their callers, so the tests can assert the generator reproduces their
+iterates bit for bit.  They share no code with ``pareto._ascent``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from specnash.pareto import (
+    project_all,
+    project_profile,
+    random_feasible_profile,
+    rate_array,
+    rate_gradient,
+    scalarized_gradient,
+)
+from specnash.rng import derive_rng
+from specnash.waterfilling import WaterfillInput, waterfill
+
+
+def _ascend(value, gradient, project, p0, step, tol, max_iter):
+    """Projected gradient ascent with halving backtracking."""
+    p = project(p0)
+    val = value(p)
+    alpha = step
+    for _ in range(max_iter):
+        g = gradient(p)
+        while True:
+            cand = project(p + alpha * g)
+            cand_val = value(cand)
+            if cand_val >= val - 1e-14:
+                break
+            alpha *= 0.5
+            if alpha < 1e-13:
+                cand, cand_val = p, val
+                break
+        move = float(np.abs(cand - p).max())
+        p, val = cand, cand_val
+        alpha = min(step, alpha * 1.8)
+        if move <= tol:
+            break
+    return p, val
+
+
+def oracle_scalarized(game, w, restarts, step, tol, max_iter, seed, base=2.0):
+    """Best (profile, value) and the restart values of the multi-start ascent."""
+
+    def value(p):
+        return float(w @ rate_array(p, game, base=base))
+
+    def gradient(p):
+        return scalarized_gradient(p, game, w, base=base)
+
+    def project(p):
+        return project_all(p, game)
+
+    best_p, best_val = None, -np.inf
+    values = np.empty(restarts)
+    for s in range(restarts):
+        if s == 0:
+            p0 = np.minimum(1.0, game.pmax)
+        else:
+            p0 = random_feasible_profile(game, derive_rng(seed, s), sparse=(s % 2 == 0))
+        p, val = _ascend(value, gradient, project, p0, step, tol, max_iter)
+        values[s] = val
+        if val > best_val:
+            best_p, best_val = p, val
+    return best_p, best_val, values
+
+
+def oracle_modified_game(game, w, step, tol, max_iter, base=2.0):
+    """(profile, residual, iterations, converged) of the side-payment play."""
+    p = np.minimum(1.0, game.pmax)
+
+    def objective(x):
+        return float(w @ rate_array(x, game, base=base))
+
+    def play_gradient(x):
+        return scalarized_gradient(x, game, w, base=base) / w[:, None]
+
+    val = objective(p)
+    alpha = step
+    residual = np.inf
+    iterations = 0
+    converged = False
+    for it in range(1, max_iter + 1):
+        iterations = it
+        g = play_gradient(p)
+        while True:
+            cand = project_all(p + alpha * g, game)
+            cand_val = objective(cand)
+            if cand_val >= val - 1e-14:
+                break
+            alpha *= 0.5
+            if alpha < 1e-13:
+                cand, cand_val = p, val
+                break
+        p, val = cand, cand_val
+        alpha = min(step, alpha * 1.8)
+        residual = float(np.abs(project_all(p + play_gradient(p), game) - p).max())
+        if residual <= tol:
+            converged = True
+            break
+    return p, residual, iterations, converged
+
+
+def _worst_opponents(game, q, p_q, p0, base, tol, max_iter):
+    """Opponent profile minimizing user q's rate at fixed p_q (convex)."""
+    others = [r for r in range(game.Q) if r != q]
+    p = p0.copy()
+    p[q] = p_q
+
+    def value(x):
+        return float(rate_array(x, game, base=base)[q])
+
+    val = value(p)
+    alpha = 1.0
+    for _ in range(max_iter):
+        grad = rate_gradient(p, game, q, base=base)
+        cand = p.copy()
+        while True:
+            for r in others:
+                cand[r] = project_profile(p[r] - alpha * grad[r], game.pmax[r])
+            cand_val = value(cand)
+            if cand_val <= val + 1e-14:
+                break
+            alpha *= 0.5
+            if alpha < 1e-13:
+                cand, cand_val = p, val
+                break
+        move = float(max(np.abs(cand[r] - p[r]).max() for r in others))
+        p, val = cand, cand_val
+        alpha = min(1.0, alpha * 1.8)
+        if move <= tol:
+            break
+    return p
+
+
+def oracle_minmax_saddle(game, q, outer_iters, inner_iters, tol, base=2.0):
+    """(value, profile) of the supergradient saddle search for user q."""
+    N = game.N
+    p_q = waterfill(
+        WaterfillInput(g=game.gain2[q, q, :], i=np.ones(N), Gamma=game.Gamma[q],
+                       pmax=game.pmax[q], budget=1.0)
+    )
+    opp0 = np.minimum(1.0, game.pmax)
+    best_val, best_pq = -np.inf, p_q.copy()
+    for t in range(1, outer_iters + 1):
+        p = _worst_opponents(game, q, p_q, opp0, base, tol, inner_iters)
+        val = float(rate_array(p, game, base=base)[q])
+        if val > best_val:
+            best_val, best_pq = val, p_q.copy()
+        grad_own = rate_gradient(p, game, q, base=base)[q]
+        p_q = project_profile(p_q + (0.5 / np.sqrt(t)) * grad_own, game.pmax[q])
+        opp0 = p
+    p = _worst_opponents(game, q, best_pq, opp0, base, tol * 0.1, 4 * inner_iters)
+    return float(rate_array(p, game, base=base)[q]), p

@@ -4,6 +4,7 @@ import pytest
 from specnash import (
     ChannelSet,
     InvalidInputError,
+    NormalizedGame,
     UNBOUNDED,
     build_game,
     frequency_response,
@@ -176,3 +177,28 @@ class TestValidation:
             total += np.sum(np.abs(c.taps[0, 0]) ** 2)
         assert abs(total / n - 1.0) < 0.05
         assert ch.taps.shape == (1, 1, 4)
+
+
+class TestInterference:
+    def test_rows_match_per_user_expression(self):
+        # Bit for bit the per-user expression that best_response, rate_gradient
+        # and verify_diagonal_optimality each evaluated before the shared map.
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            Q, N = int(rng.integers(1, 7)), int(rng.integers(1, 65))
+            gain2 = rng.exponential(size=(Q, Q, N)) * 10.0 ** rng.uniform(-6, 6, (Q, Q, 1))
+            game = NormalizedGame(gain2=gain2, pmax=np.full((Q, N), UNBOUNDED),
+                                  Gamma=np.ones(Q))
+            p = rng.exponential(size=(Q, N)) * rng.uniform(0.0, 3.0)
+            i = game.interference(p)
+            assert i.shape == (Q, N)
+            for q in range(Q):
+                row = 1.0 + np.einsum("rk,rk->k", gain2[:, q], p) - gain2[q, q] * p[q]
+                assert i[q].tobytes() == np.maximum(row, 1.0).tobytes()
+
+    def test_hand_evaluated(self):
+        gain2 = np.array([[[2.0], [0.5]], [[0.25], [3.0]]])
+        game = NormalizedGame(gain2=gain2, pmax=np.full((2, 1), UNBOUNDED), Gamma=np.ones(2))
+        # i_1 = 1 + gain2[1, 0] p_2, i_2 = 1 + gain2[0, 1] p_1.
+        np.testing.assert_array_equal(game.interference([[4.0], [2.0]]), [[1.5], [3.0]])
+        np.testing.assert_array_equal(game.direct_gain2(), [[2.0], [3.0]])

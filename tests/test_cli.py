@@ -4,14 +4,17 @@ import json
 import numpy as np
 import pytest
 
+from specnash.channel import build_game
 from specnash.cli import main
 from specnash.experiments import (
+    run_check_uniqueness,
     run_psd,
     run_rate_region,
     run_uniqueness_mc,
     run_verify_theorem1,
     scenario_from_config,
 )
+from specnash.uniqueness import check_conditions
 
 MC_CFG = {
     "kind": "uniqueness_mc",
@@ -49,6 +52,20 @@ SMALL_CFGS = {
     },
 }
 
+
+
+def raw_scenario(pmax_bar):
+    """Raw two-user, 16-bin entry with fixed taps at 10 dB."""
+    taps = np.zeros((2, 2, 3, 2))
+    taps[0, 0] = [[1.0, 0.2], [0.4, -0.1], [0.1, 0.3]]
+    taps[1, 1] = [[0.8, -0.3], [0.2, 0.5], [-0.2, 0.1]]
+    taps[0, 1] = [[0.3, 0.1], [0.1, 0.0], [0.0, 0.1]]
+    taps[1, 0] = [[0.2, -0.2], [0.1, 0.1], [0.1, 0.0]]
+    scen = {"taps": taps.tolist(), "d": [[1.0, 2.0], [2.0, 1.0]], "gamma": 2.5,
+            "P": [10.0, 10.0], "sigma2": [1.0, 1.0], "Gamma": [1.0, 1.0], "N": 16}
+    if pmax_bar is not None:
+        scen["pmax_bar"] = pmax_bar
+    return scen
 
 def read_csv(path):
     with open(path) as fh:
@@ -407,6 +424,46 @@ class TestCliContract:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "zero" in err
+
+    @pytest.mark.parametrize("command", ["solve", "check-uniqueness"])
+    @pytest.mark.parametrize("extra", [{"snr": -10}, {"pmax_bar": [[1.0] * 16] * 2}])
+    def test_unknown_scenario_key_exit_code(self, tmp_path, capsys, command, extra):
+        # A misspelled key would run at the default; a ratio entry's mask
+        # would be dropped.  Both are rejected by name.
+        cfg = {"seed": 1, "scenario": PSD_CFG["scenario"] | extra}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ratio scenario keys") and next(iter(extra)) in err
+
+    def test_unknown_raw_scenario_key_exit_code(self, tmp_path, capsys):
+        cfg = {"seed": 1, "scenario": raw_scenario(pmax_bar=None) | {"Q": 2}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown raw scenario keys: Q")
+
+    def test_check_uniqueness_mask_equal_to_budget(self, tmp_path):
+        # pmax_bar = P on every bin: caps of exactly the budget.
+        cfg = {"seed": 1, "scenario": raw_scenario(pmax_bar=[[10.0] * 16, [10.0] * 16])}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "u.json")
+        assert main(["check-uniqueness", "--config", str(cfg_path), "--out", out]) == 0
+        report = json.load(open(out))
+        assert report["usable"] == [[True] * 16] * 2
+
+    def test_check_uniqueness_driver_writes_report(self, tmp_path):
+        cfg = {"seed": 1, "scenario": PSD_CFG["scenario"]}
+        out = str(tmp_path / "u.json")
+        payload = run_check_uniqueness(cfg, out)
+        game = build_game(scenario_from_config(cfg["scenario"], seed=(1,)))
+        assert payload == check_conditions(game).to_dict()
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert open(out).read() == text
 
     def test_workers_clamped_to_cpu_count(self, tmp_path, monkeypatch):
         import specnash.experiments as experiments

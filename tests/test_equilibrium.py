@@ -22,6 +22,7 @@ from specnash.equilibrium import (
     solve,
 )
 from specnash.pareto import rate_array, random_feasible_profile
+from specnash.uniqueness import check_conditions
 
 
 class TestBestResponse:
@@ -151,6 +152,19 @@ class TestSolve:
             solve(game, schedule="chaotic")
         with pytest.raises(InvalidInputError):
             solve(game, init=np.ones((3, 2)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("schedule", ["sequential", "simultaneous"])
+    def test_mask_equal_to_budget(self, seed, schedule):
+        # pmax_bar = P normalizes to caps of exactly 1: the strategy set is
+        # the single point p = 1, however the walk rounds its supply sum.
+        P = 10.0  # the 10 dB default SNR
+        game = build_game(ratio_scenario(5, 64, seed=seed, pmax_bar=np.full((5, 64), P)))
+        res = solve(game, schedule=schedule)
+        assert res.converged
+        assert np.abs(res.profile.p - 1.0).max() <= 1e-12
+        report = check_conditions(game)
+        assert set(report.conditions) == {"C1", "C2", "C3", "C4", "C5", "C6", "C7"}
 
 
 class TestClassification:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ascent_oracle import oracle_minmax_saddle, oracle_modified_game, oracle_scalarized
 from conftest import flat_game, random_c1_game
 from level_oracle import oracle_project
 from specnash import (
@@ -375,3 +376,59 @@ class TestLowInterference:
         game = flat_game(Q=2, coupling=0.1, N=2)
         with pytest.raises(InvalidInputError):
             low_interference_rate(np.array([[1.0, 0.0], [1.0, 1.0]]), game)
+
+
+def _ascent_games():
+    """Q=2/3, N=4/8 games, two of them with finite masks."""
+    games = []
+    for Q, N, seed in ((2, 4, 3), (2, 8, 5), (3, 4, 7), (3, 8, 11)):
+        games.append(build_game(ratio_scenario(Q, N, snr_db=8.0, d_ratio=1.5, seed=seed,
+                                               channel_order=2)))
+    pmax_bar = 10 ** 0.8 * np.random.default_rng(2).uniform(0.6, 2.5, (2, 8))
+    games.append(build_game(ratio_scenario(2, 8, snr_db=8.0, d_ratio=1.5, seed=13,
+                                           channel_order=2, pmax_bar=pmax_bar)))
+    games.append(BACKTRACK_GAME)
+    return games
+
+
+# User 2 hears user 1 far above its own link, so the inner descent of
+# minmax_bound(q=1) overshoots at unit step and must backtrack.
+BACKTRACK_GAME = NormalizedGame(
+    gain2=np.array([[[11.5, 1.0, 2.6, 1.4], [1.2, 1.6, 1.1, 2.3]],
+                    [[15.7, 132.5, 61.2, 2.3], [1595.0, 1173.0, 1611.3, 329.6]]]),
+    pmax=np.array([[2.0, 0.8, 1.5, 1.1], [1.1, 2.6, 0.8, 0.9]]),
+    Gamma=np.ones(2),
+)
+
+
+class TestAscentOracle:
+    """The one ascent generator reproduces the loops it replaced bit for bit.
+
+    A step of 20 makes the weighted-sum and side-payment ascents backtrack.
+    """
+
+    @pytest.mark.parametrize("step", [1.0, 20.0])
+    @pytest.mark.parametrize("game", _ascent_games())
+    def test_scalarized(self, game, step):
+        w = np.linspace(1.0, 2.0, game.Q)
+        res = solve_scalarized(game, w, restarts=3, step=step, tol=1e-9, max_iter=200, seed=4)
+        p, val, values = oracle_scalarized(game, w, 3, step, 1e-9, 200, 4)
+        assert res.profile.p.tobytes() == p.tobytes()
+        assert res.value == val
+        assert res.restart_values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("step", [1.0, 20.0])
+    @pytest.mark.parametrize("game", _ascent_games())
+    def test_modified_game(self, game, step):
+        w = np.linspace(2.0, 1.0, game.Q)
+        res = solve_modified_game(game, w, step=step, tol=1e-8, max_iter=150)
+        p, residual, iterations, converged = oracle_modified_game(game, w, step, 1e-8, 150)
+        assert res.profile.p.tobytes() == p.tobytes()
+        assert (res.residual, res.iterations, res.converged) == (residual, iterations, converged)
+
+    @pytest.mark.parametrize("game", _ascent_games())
+    def test_minmax_saddle(self, game):
+        res = minmax_bound(game, 1, method="saddle", outer_iters=6, inner_iters=40, tol=1e-9)
+        value, p = oracle_minmax_saddle(game, 1, 6, 40, 1e-9)
+        assert res.value == value
+        assert res.profile.p.tobytes() == p.tobytes()
