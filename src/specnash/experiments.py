@@ -349,14 +349,33 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
 # ---------------------------------------------------------------------------
 # diagonal-optimality verification
 
+_THEOREM1_KEYS = {"kind", "out", "seed", "instances", "samples", "payoffs", "gap_Gamma",
+                  "scenario"}
+_PAYOFFS = ("mutual_information", "gap")
+
+
 def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
-    """Random-precoder dominance experiment across instances and payoffs."""
+    """Random-precoder dominance experiment across instances and payoffs.
+
+    Rejects a config key it does not read, fewer than one instance, an
+    empty payoff list and an unknown payoff name before any channel is built.
+    """
+    unknown = ", ".join(sorted(set(cfg) - _THEOREM1_KEYS))
+    if unknown:
+        raise InvalidInputError(f"unknown verify_theorem1 config keys: {unknown}")
     root_seed = int(cfg.get("seed", 0))
     instances = int(cfg.get("instances", 10))
     samples = int(cfg.get("samples", 200))
-    payoffs = list(cfg.get("payoffs", ["mutual_information", "gap"]))
+    payoffs = list(cfg.get("payoffs", _PAYOFFS))
     gap_gamma = float(cfg.get("gap_Gamma", 3.0))
     scen = cfg["scenario"]
+    if instances < 1:
+        raise InvalidInputError(f"instances must be >= 1, got {instances}")
+    if not payoffs:
+        raise InvalidInputError("payoffs must name at least one payoff")
+    bad = [p for p in payoffs if p not in _PAYOFFS]
+    if bad:
+        raise InvalidInputError(f"unknown payoff {bad[0]!r}; expected one of {_PAYOFFS}")
 
     results = []
     total_violations = 0

@@ -8,12 +8,17 @@ MMSE-SINR gap rates) for arbitrary precoders so that the reduction --
 empirically: random feasible precoders must never beat the waterfilled
 diagonal response.
 
-Dense linear algebra only, intended for N <= 8; this is an oracle, not a
-performance path.
+Dense linear algebra only, intended for N <= 8.  The sampler, the
+feasibility check and both payoffs work on stacks of precoders of shape
+(..., N, N): one report draws all its samples as one stack, factors them
+with one batched ``eigh`` and ``qr``, and scores them with one batched
+solve against an interference covariance computed once.  The public
+single-precoder functions are the same code on one matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,18 +73,30 @@ def precoder_from_profile(p_q: np.ndarray, P_q: float, N: int | None = None) -> 
     return W * np.sqrt(P_q * p_q)[None, :]
 
 
+def _hermitian(X: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return X.conj().swapaxes(-1, -2)
+
+
+def _bin_powers(C: np.ndarray) -> np.ndarray:
+    """Per-bin powers diag(W^H C W) of (..., N, N) covariances, shape (..., N)."""
+    W = fourier_matrix(C.shape[-1])
+    return np.einsum("ki,...ij,jk->...k", W.conj().T, C, W).real
+
+
+def _feasible(F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray, tol: float) -> np.ndarray:
+    """Trace budget and per-bin mask feasibility of (..., N, N) precoders, shape (...)."""
+    N = F.shape[-1]
+    cov = F @ _hermitian(F)
+    over_budget = np.trace(cov, axis1=-2, axis2=-1).real / N > P_q * (1 + tol)
+    return ~over_budget & (_bin_powers(cov) <= pmax_bar_q * (1 + tol) + tol).all(axis=-1)
+
+
 def precoder_feasible(
     F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray, tol: float = 1e-9
 ) -> bool:
     """Trace budget and per-bin mask feasibility of one precoder."""
-    F = np.asarray(F, dtype=np.complex128)
-    N = F.shape[0]
-    cov = F @ F.conj().T
-    if np.trace(cov).real / N > P_q * (1 + tol):
-        return False
-    W = fourier_matrix(N)
-    bins = np.einsum("ki,ij,jk->k", W.conj().T, cov, W).real
-    return bool((bins <= pmax_bar_q * (1 + tol) + tol).all())
+    return bool(_feasible(np.asarray(F, dtype=np.complex128), P_q, pmax_bar_q, tol))
 
 
 def interference_covariance(q: int, precoders: np.ndarray, links: LinkMatrices) -> np.ndarray:
@@ -94,23 +111,46 @@ def interference_covariance(q: int, precoders: np.ndarray, links: LinkMatrices) 
     return R
 
 
-def _whitened_channel(q: int, precoders: np.ndarray, links: LinkMatrices) -> np.ndarray:
-    """The Hermitian form F^H H^H R^{-1} H F for user q."""
-    R = interference_covariance(q, precoders, links)
-    HF = links.H[q, q] @ precoders[q]
-    return HF.conj().T @ np.linalg.solve(R, HF)
+def _whitened_channel(q: int, F: np.ndarray, links: LinkMatrices, R: np.ndarray):
+    """H F, R^{-1} H F and the Hermitian form F^H H^H R^{-1} H F of user q.
+
+    ``F`` holds user q's precoders, shape (..., N, N); ``R`` is the
+    covariance they are received against.
+    """
+    HF = links.H[q, q] @ F
+    RinvHF = np.linalg.solve(R, HF)
+    return HF, RinvHF, _hermitian(HF) @ RinvHF
+
+
+def _log_det_rate(M: np.ndarray, base: float) -> np.ndarray:
+    """(1/N) log det(I + M) over (..., N, N)."""
+    N = M.shape[-1]
+    sign, logdet = np.linalg.slogdet(np.eye(N) + M)
+    if (sign.real <= 0).any() or not np.isfinite(logdet).all():
+        raise NumericFailureError("log-det of the mutual-information form failed")
+    return logdet / (N * np.log(base))
+
+
+def _mse_sinr(M: np.ndarray) -> np.ndarray:
+    """Per-stream SINRs 1/[E]_kk - 1 with E = (I + M)^{-1}, over (..., N, N)."""
+    E = np.linalg.inv(np.eye(M.shape[-1]) + M)
+    diag = np.diagonal(E, axis1=-2, axis2=-1).real
+    if not np.isfinite(diag).all() or (diag <= 0).any():
+        raise NumericFailureError("MSE diagonal left the (0, 1] range")
+    return np.maximum(1.0 / diag - 1.0, 0.0)
+
+
+def _gap_rate(M: np.ndarray, Gamma: float) -> np.ndarray:
+    """(1/N) sum_k log2(1 + SINR_k / Gamma) over (..., N, N)."""
+    return np.log2(1.0 + _mse_sinr(M) / Gamma).mean(axis=-1)
 
 
 def mutual_information(
     q: int, precoders: np.ndarray, links: LinkMatrices, base: float = 2.0
 ) -> float:
     """(1/N) log det(I + F^H H^H R^{-1} H F) for user q."""
-    N = links.N
-    M = _whitened_channel(q, precoders, links)
-    sign, logdet = np.linalg.slogdet(np.eye(N) + M)
-    if sign.real <= 0 or not np.isfinite(logdet):
-        raise NumericFailureError("log-det of the mutual-information form failed")
-    return float(logdet / (N * np.log(base)))
+    R = interference_covariance(q, precoders, links)
+    return float(_log_det_rate(_whitened_channel(q, precoders[q], links, R)[2], base))
 
 
 def mmse_receiver(
@@ -124,9 +164,8 @@ def mmse_receiver(
     """
     N = links.N
     R = interference_covariance(q, precoders, links)
-    HF = links.H[q, q] @ precoders[q]
-    RinvHF = np.linalg.solve(R, HF)
-    G = RinvHF @ np.linalg.inv(np.eye(N) + HF.conj().T @ RinvHF)
+    HF, RinvHF, M = _whitened_channel(q, precoders[q], links, R)
+    G = RinvHF @ np.linalg.inv(np.eye(N) + M)
     if not np.isfinite(G).all():
         raise NumericFailureError("non-finite MMSE receiver")
     if verify:
@@ -134,7 +173,7 @@ def mmse_receiver(
         GRG = G.conj().T @ R @ G
         inner = GH_HF.conj().T @ np.linalg.pinv(GRG) @ GH_HF
         sign, logdet = np.linalg.slogdet(np.eye(N) + inner)
-        direct = mutual_information(q, precoders, links, base=np.e) * N
+        direct = _log_det_rate(M, np.e) * N
         if sign.real <= 0 or abs(logdet - direct) > 1e-9 * max(1.0, abs(direct)):
             raise NumericFailureError("MMSE filter is not capacity-lossless")
     return G
@@ -143,12 +182,8 @@ def mmse_receiver(
 def mse_sinr(q: int, precoders: np.ndarray, links: LinkMatrices) -> np.ndarray:
     """Per-stream SINRs out of the MMSE stage: 1/[E]_kk - 1 with
     E = (I + F^H H^H R^{-1} H F)^{-1}."""
-    N = links.N
-    E = np.linalg.inv(np.eye(N) + _whitened_channel(q, precoders, links))
-    diag = np.real(np.diag(E))
-    if not np.isfinite(diag).all() or (diag <= 0).any():
-        raise NumericFailureError("MSE diagonal left the (0, 1] range")
-    return np.maximum(1.0 / diag - 1.0, 0.0)
+    R = interference_covariance(q, precoders, links)
+    return _mse_sinr(_whitened_channel(q, precoders[q], links, R)[2])
 
 
 def gap_rate(
@@ -157,8 +192,8 @@ def gap_rate(
     """(1/N) sum_k log2(1 + SINR_k / Gamma), Gamma >= 1."""
     if Gamma < 1.0:
         raise InvalidInputError("Gamma must be >= 1")
-    sinr = mse_sinr(q, precoders, links)
-    return float(np.log2(1.0 + sinr / Gamma).mean())
+    R = interference_covariance(q, precoders, links)
+    return float(_gap_rate(_whitened_channel(q, precoders[q], links, R)[2], Gamma))
 
 
 def qam_gap(pe_target: float) -> float:
@@ -172,33 +207,67 @@ def qam_gap(pe_target: float) -> float:
     return float(qinv**2 / 3.0)
 
 
+def _feasible_precoders(
+    Z: np.ndarray, P_q: float, pmax_bar_q: np.ndarray
+) -> np.ndarray:
+    """Random precoders inside the trace-and-mask feasible set, one per draw.
+
+    ``Z`` holds standard normals of shape (S, 4, N, N): the real and
+    imaginary parts of a complex Gaussian A, then of a complex Gaussian B.
+    Form the covariance A A^H and rescale it onto the trace budget; where
+    some bin exceeds its mask, blend toward a slightly contracted
+    masked-diagonal projection just far enough for every mask to hold.  The
+    Haar-random right factor from the QR of B keeps the sample from being
+    normal, which matters to the MSE-based payoff.  Returns (S, N, N);
+    raises NumericFailureError if a precoder leaves the feasible set.
+    """
+    N = Z.shape[-1]
+    A = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2.0)
+    C = A @ _hermitian(A)
+    C *= (N * P_q / np.trace(C, axis1=1, axis2=2).real)[:, None, None]
+    bins = _bin_powers(C)
+    over = bins > pmax_bar_q
+    blend = over.any(axis=1)
+    if blend.any():
+        bins, over = bins[blend], over[blend]
+        target_bins = np.minimum(bins, 0.95 * pmax_bar_q)
+        excess = np.where(over, bins - pmax_bar_q, -np.inf)
+        t = (excess / np.where(over, bins - target_bins, 1.0)).max(axis=1)[:, None, None]
+        W = fourier_matrix(N)
+        target = (W * target_bins[:, None, :]) @ W.conj().T
+        C[blend] = (1.0 - t) * C[blend] + t * target
+    vals, vecs = np.linalg.eigh(C)
+    vals = np.clip(vals, 0.0, None)
+    U, _ = np.linalg.qr((Z[:, 2] + 1j * Z[:, 3]) / np.sqrt(2.0))
+    F = vecs @ (np.sqrt(vals)[:, :, None] * U)
+    if not _feasible(F, P_q, pmax_bar_q, 1e-9).all():
+        raise NumericFailureError("sampler produced an infeasible precoder")
+    return F
+
+
 def random_feasible_precoder(
     rng: np.random.Generator, P_q: float, pmax_bar_q: np.ndarray, N: int
 ) -> np.ndarray:
     """Random precoder inside the trace-and-mask feasible set.
 
-    Draw a complex Gaussian matrix, form its covariance, rescale onto the
-    trace budget, then (if some bin exceeds its mask) blend toward a
-    slightly contracted masked-diagonal projection just far enough for
-    every mask to hold.  A Haar-random right factor is applied so the
-    sample is not normal, which matters to the MSE-based payoff.
+    One draw of the stacked sampler: four N x N blocks of standard normals
+    taken from ``rng`` in order (A real, A imaginary, B real, B imaginary).
     """
-    A = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / np.sqrt(2.0)
-    C = A @ A.conj().T
-    C *= N * P_q / np.trace(C).real
-    W = fourier_matrix(N)
-    bins = np.einsum("ki,ij,jk->k", W.conj().T, C, W).real
-    over = bins > pmax_bar_q
-    if over.any():
-        target_bins = np.minimum(bins, 0.95 * pmax_bar_q)
-        t = float(np.max((bins[over] - pmax_bar_q[over]) / (bins[over] - target_bins[over])))
-        target = (W * target_bins[None, :]) @ W.conj().T
-        C = (1.0 - t) * C + t * target
-    vals, vecs = np.linalg.eigh(C)
-    vals = np.clip(vals, 0.0, None)
-    B = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / np.sqrt(2.0)
-    U, _ = np.linalg.qr(B)
-    return vecs @ (np.sqrt(vals)[:, None] * U)
+    return _feasible_precoders(rng.standard_normal((1, 4, N, N)), P_q, pmax_bar_q)[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _precoder_stack(
+    seed: int, samples: int, P_q: float, pmax_bar_q: tuple, N: int
+) -> np.ndarray:
+    """Read-only (samples, N, N) stack; sample s draws from ``derive_rng(seed, s)``.
+
+    The last stack is cached, so the payoffs of one user share one draw.
+    """
+    Z = np.stack([derive_rng(seed, s).standard_normal((4, N, N)) for s in range(samples)])
+    F = _feasible_precoders(Z, P_q, np.array(pmax_bar_q))
+    F.flags.writeable = False
+    return F
 
 
 @dataclass(frozen=True)
@@ -252,34 +321,24 @@ def verify_diagonal_optimality(
     precoders[q] = precoder_from_profile(p_star, ch.P[q], N)
 
     if payoff == "mutual_information":
-        evaluate = lambda P: mutual_information(q, P, links)
+        best_value = mutual_information(q, precoders, links)
+        score = lambda M: _log_det_rate(M, 2.0)
     elif payoff == "gap":
-        evaluate = lambda P: gap_rate(q, P, links, gap)
+        best_value = gap_rate(q, precoders, links, gap)
+        score = lambda M: _gap_rate(M, gap)
     else:
         raise InvalidInputError(f"unknown payoff {payoff!r}")
 
-    best_value = evaluate(precoders)
-    values = np.empty(samples)
-    trial = precoders.copy()
-    violations = 0
-    max_gap = -np.inf
-    for s in range(samples):
-        rng = derive_rng(seed, s)
-        F = random_feasible_precoder(rng, ch.P[q], ch.pmax_bar[q], N)
-        if not precoder_feasible(F, ch.P[q], ch.pmax_bar[q]):
-            raise NumericFailureError("sampler produced an infeasible precoder")
-        trial[q] = F
-        values[s] = evaluate(trial)
-        excess = values[s] - best_value
-        max_gap = max(max_gap, excess)
-        if excess > tol:
-            violations += 1
+    F = _precoder_stack(seed, samples, float(ch.P[q]), tuple(ch.pmax_bar[q].tolist()), N)
+    R = interference_covariance(q, precoders, links)
+    values = score(_whitened_channel(q, F, links, R)[2])
+    excess = values - best_value
     return DiagonalOptimalityReport(
         payoff=payoff,
         samples=samples,
-        violations=violations,
-        max_gap=float(max_gap),
-        best_response_value=float(best_value),
+        violations=int((excess > tol).sum()),
+        max_gap=float(excess.max()),
+        best_response_value=best_value,
         values=values,
     )
 

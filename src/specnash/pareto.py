@@ -75,8 +75,14 @@ def rate_gradient(
         dR_q/dp_r(k) = -(g p_q/Gamma) c_r / (ln(base) N i d),  r != q.
     """
     p = np.asarray(p, dtype=np.float64)
+    return _rate_gradient(p, game, q, game.interference(p)[q], base)
+
+
+def _rate_gradient(
+    p: np.ndarray, game: NormalizedGame, q: int, i: np.ndarray, base: float
+) -> np.ndarray:
+    """``rate_gradient`` given user q's interference factors ``i``."""
     g = game.gain2[q, q, :]
-    i = game.interference(p)[q]
     scaled = g / game.Gamma[q]
     d = i + scaled * p[q]
     coef = 1.0 / (game.N * np.log(base))
@@ -93,9 +99,11 @@ def scalarized_gradient(
     p: np.ndarray, game: NormalizedGame, weights: np.ndarray, base: float = 2.0
 ) -> np.ndarray:
     """Gradient of sum_q weights_q * R_q(p), shape (Q, N)."""
-    total = np.zeros_like(np.asarray(p, dtype=np.float64))
+    p = np.asarray(p, dtype=np.float64)
+    i = game.interference(p)
+    total = np.zeros_like(p)
     for q in range(game.Q):
-        total += weights[q] * rate_gradient(p, game, q, base=base)
+        total += weights[q] * _rate_gradient(p, game, q, i[q], base)
     return total
 
 
@@ -347,8 +355,14 @@ def solve_modified_game(
     def objective(x):
         return float(w @ rate_array(x, game, base=base))
 
+    # The residual at p and the next step from p need the same gradient;
+    # iterates are never modified in place, so the last one is kept by identity.
+    last = [None, None]
+
     def play_gradient(x):
-        return scalarized_gradient(x, game, w, base=base) / w[:, None]
+        if x is not last[0]:
+            last[:] = x, scalarized_gradient(x, game, w, base=base) / w[:, None]
+        return last[1]
 
     residual = np.inf
     iterations = 0

@@ -4,7 +4,10 @@
 side-payment game and the inner minimization of the max-min bound.  The
 three loops it replaced are kept here verbatim, wrapped in the outer code
 of their callers, so the tests can assert the generator reproduces their
-iterates bit for bit.  They share no code with ``pareto._ascent``.
+iterates bit for bit.  They share no code with ``pareto._ascent``.  The
+weighted-sum gradient is kept as it was too, one ``rate_gradient`` call
+(and one interference map) per user, and the side-payment loop evaluates
+it twice per iteration as before.
 """
 
 from __future__ import annotations
@@ -17,10 +20,17 @@ from specnash.pareto import (
     random_feasible_profile,
     rate_array,
     rate_gradient,
-    scalarized_gradient,
 )
 from specnash.rng import derive_rng
 from specnash.waterfilling import WaterfillInput, waterfill
+
+
+def scalarized_gradient(p, game, weights, base=2.0):
+    """Gradient of sum_q weights_q * R_q(p), shape (Q, N)."""
+    total = np.zeros_like(np.asarray(p, dtype=np.float64))
+    for q in range(game.Q):
+        total += weights[q] * rate_gradient(p, game, q, base=base)
+    return total
 
 
 def _ascend(value, gradient, project, p0, step, tol, max_iter):

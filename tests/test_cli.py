@@ -309,6 +309,42 @@ class TestVerifyTheorem1Driver:
         loaded = json.load(open(out))
         assert loaded["total_violations"] == 0
 
+    @pytest.mark.parametrize("change", [
+        {"instances": 0},
+        {"instances": -1},
+        {"payoffs": []},
+        {"payoffs": ["capacity"]},
+        {"payoffs": ["gap", "mse"]},
+        {"sample": 10},
+    ])
+    def test_bad_config_exit_code(self, tmp_path, monkeypatch, capsys, change):
+        # Each of these exited 0: no instances or payoffs wrote a -Infinity
+        # worst gap, and an unknown key such as "sample" was ignored.
+        import specnash.experiments as experiments_mod
+
+        def no_channel(*args, **kwargs):
+            raise AssertionError("config rejected only after building a channel")
+
+        monkeypatch.setattr(experiments_mod, "scenario_from_config", no_channel)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CFGS["verify-theorem1"] | change))
+        out = tmp_path / "t.json"
+        rc = main(["verify-theorem1", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_accepted_keys(self, tmp_path):
+        cfg = SMALL_CFGS["verify-theorem1"] | {
+            "kind": "verify_theorem1", "out": str(tmp_path / "unused.json"), "gap_Gamma": 2.0,
+            "payoffs": ["gap"],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "t.json"
+        assert main(["verify-theorem1", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == cfg
+
 
 class TestCliContract:
     def test_solve_roundtrip_and_determinism(self, tmp_path):

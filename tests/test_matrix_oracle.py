@@ -2,11 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
+from precoder_oracle import oracle_precoder, oracle_verify
 from specnash import InvalidInputError, UNBOUNDED, build_game, ratio_scenario
 from specnash.channel import ChannelSet
+from specnash.experiments import run_verify_theorem1
 from specnash.matrix_oracle import (
+    _precoder_stack,
     circulant_links,
     fourier_matrix,
     gap_rate,
@@ -22,6 +26,7 @@ from specnash.matrix_oracle import (
     verify_diagonal_optimality,
 )
 from specnash.pareto import rate_array
+from specnash.rng import derive_rng
 
 
 def scenario(Q=2, N=4, seed=1, snr_db=8.0, d_ratio=2.0):
@@ -244,6 +249,81 @@ class TestDiagonalOptimality:
             verify_diagonal_optimality(scenario(seed=1, N=16), 0, samples=60, seed=0)
         with pytest.raises(InvalidInputError):
             verify_diagonal_optimality(scenario(seed=1), 0, samples=10, seed=0)
+
+
+def masked_scenario(Q, N, seed):
+    """Masks between 1.05 and 2 times the budget: feasible, often exceeded."""
+    P = 10.0 ** 0.8
+    pmax_bar = P * np.random.default_rng(seed).uniform(1.05, 2.0, (Q, N))
+    return ratio_scenario(Q, N, d_ratio=1.5, snr_db=8.0, seed=seed,
+                          channel_order=N // 2, pmax_bar=pmax_bar)
+
+
+class TestStackedOracle:
+    """The stacked sampler and payoffs reproduce the per-sample loop bit for bit."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("N", [1, 2, 4, 8])
+    @pytest.mark.parametrize("Q", [1, 2, 3])
+    def test_reports_match_per_sample_oracle(self, Q, N, masked):
+        seed = 100 * Q + N
+        ch = masked_scenario(Q, N, seed) if masked else scenario(Q, N, seed=seed, d_ratio=1.5)
+        blended = 0
+        for q in range(Q):
+            for payoff, Gamma in (("mutual_information", None), ("gap", 3.0)):
+                rep = verify_diagonal_optimality(ch, q, samples=50, seed=seed + q,
+                                                 payoff=payoff, Gamma=Gamma)
+                values, max_gap, violations, best, blend = oracle_verify(
+                    ch, q, 50, seed + q, payoff, Gamma
+                )
+                assert rep.values.tobytes() == values.tobytes()
+                assert (rep.max_gap, rep.violations, rep.best_response_value) == (
+                    max_gap, violations, best
+                )
+                blended += blend
+        if masked and N > 1:
+            assert blended > 0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(1, 12),
+        N=st.integers(1, 8),
+        P=st.floats(0.1, 100.0),
+        mask=st.one_of(st.none(), st.lists(st.floats(0.2, 3.0), min_size=8, max_size=8)),
+    )
+    def test_stack_rows_match_per_draw_sampler(self, seed, samples, N, P, mask):
+        pmax_bar = np.full(N, UNBOUNDED) if mask is None else P * np.array(mask[:N])
+        F = _precoder_stack(seed, samples, P, tuple(pmax_bar.tolist()), N)
+        assert F.shape == (samples, N, N)
+        for s in range(samples):
+            ref, _ = oracle_precoder(derive_rng(seed, s), P, pmax_bar, N)
+            assert F[s].tobytes() == ref.tobytes()
+
+    def test_single_draw_is_a_stack_of_one(self):
+        pmax_bar = np.array([3.0, 1.0, 5.0, 0.5])
+        for s in range(20):
+            ref, _ = oracle_precoder(np.random.default_rng(s), 2.0, pmax_bar, 4)
+            got = random_feasible_precoder(np.random.default_rng(s), 2.0, pmax_bar, 4)
+            assert got.tobytes() == ref.tobytes()
+
+    def test_stack_is_read_only(self):
+        F = _precoder_stack(3, 5, 1.0, (UNBOUNDED,) * 4, 4)
+        assert not F.flags.writeable
+        with pytest.raises(ValueError):
+            F[0, 0, 0] = 0.0
+
+    def test_driver_draws_once_per_instance_and_user(self, tmp_path):
+        cfg = {
+            "seed": 2, "instances": 2, "samples": 50,
+            "payoffs": ["mutual_information", "gap"],
+            "scenario": {"Q": 2, "N": 4, "gamma": 2.5, "snr_db": 8.0, "Gamma": 1.0,
+                         "channel_order": 2, "d_ratio": 2.0},
+        }
+        _precoder_stack.cache_clear()
+        run_verify_theorem1(cfg, str(tmp_path / "t1.json"))
+        info = _precoder_stack.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
 
 
 class TestMajorization:

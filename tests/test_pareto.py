@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ascent_oracle
 from ascent_oracle import oracle_minmax_saddle, oracle_modified_game, oracle_scalarized
 from conftest import flat_game, random_c1_game
 from level_oracle import oracle_project
@@ -14,6 +15,7 @@ from specnash import (
     ratio_scenario,
     waterfill,
 )
+from specnash import pareto
 from specnash.channel import NormalizedGame
 from specnash.equilibrium import solve
 from specnash.pareto import (
@@ -432,3 +434,33 @@ class TestAscentOracle:
         value, p = oracle_minmax_saddle(game, 1, 6, 40, 1e-9)
         assert res.value == value
         assert res.profile.p.tobytes() == p.tobytes()
+
+    @pytest.mark.parametrize("game", _ascent_games())
+    def test_scalarized_gradient_matches_per_user_maps(self, game):
+        rng = np.random.default_rng(game.Q * game.N)
+        for _ in range(20):
+            p = random_feasible_profile(game, rng)
+            w = rng.uniform(0.5, 3.0, game.Q)
+            assert (scalarized_gradient(p, game, w).tobytes()
+                    == ascent_oracle.scalarized_gradient(p, game, w).tobytes())
+
+    def test_scalarized_gradient_one_interference_map(self, monkeypatch):
+        game = _ascent_games()[2]
+        calls = []
+        original = NormalizedGame.interference
+        monkeypatch.setattr(NormalizedGame, "interference",
+                            lambda self, p: calls.append(1) or original(self, p))
+        scalarized_gradient(np.minimum(1.0, game.pmax), game, np.ones(game.Q))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("step", [1.0, 20.0])
+    def test_modified_game_one_gradient_per_iteration(self, monkeypatch, step):
+        game = _ascent_games()[3]
+        calls = []
+        original = pareto.scalarized_gradient
+        monkeypatch.setattr(pareto, "scalarized_gradient",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
+        res = solve_modified_game(game, np.linspace(2.0, 1.0, game.Q), step=step, tol=1e-8,
+                                  max_iter=150)
+        assert res.iterations > 1
+        assert len(calls) == res.iterations + 1
