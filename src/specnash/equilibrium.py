@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .channel import NormalizedGame
 from .errors import InvalidInputError, NumericFailureError
 from .rng import derive_rng
-from .waterfilling import PowerProfile, WaterfillInput, waterfill
+from .waterfilling import PowerProfile, WaterfillInput, waterfill, waterfill_rows
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,17 @@ def best_response(q: int, p: np.ndarray, game: NormalizedGame) -> np.ndarray:
     return waterfill(inp)
 
 
+def _interference(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
+    """The (Q, N) interference map of ``p``, checked as WaterfillInput checks it."""
+    i = game.interference(p)
+    if not np.isfinite(i).all():
+        raise InvalidInputError("interference factors must be finite and >= 1")
+    return i
+
+
 def _response_map(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
-    return np.stack([best_response(q, p, game) for q in range(game.Q)])
+    """Every user's waterfilling response to ``p``: one batched solve."""
+    return waterfill_rows(game.direct_gain2(), _interference(p, game), game.Gamma, game.pmax)[0]
 
 
 def solve(
@@ -76,13 +84,20 @@ def solve(
     schedule: "sequential" sweeps users in order (optionally shuffled per
     sweep when ``order_seed`` is given), "simultaneous" updates all users
     from the previous iterate.  The residual is the sup-norm of p - WF(p)
-    stacked over users; iteration stops at ``tol`` or ``max_iter``.
+    stacked over users; iteration stops at ``tol`` or ``max_iter``.  The
+    game and ``init`` are validated once here; the sweeps then run on raw
+    arrays, each response map as one batched waterfill.
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
     if schedule not in ("sequential", "simultaneous"):
         raise InvalidInputError(f"unknown schedule {schedule!r}")
     Q = game.Q
+    direct = game.direct_gain2()
+    if not np.isfinite(direct).all():
+        raise InvalidInputError("gains must be finite and nonnegative")
+    if np.isnan(game.pmax).any():
+        raise InvalidInputError("pmax must be nonnegative")
     if init is None:
         p = np.minimum(1.0, game.pmax)
     else:
@@ -104,7 +119,9 @@ def solve(
         if schedule == "sequential":
             order = np.arange(Q) if order_rng is None else order_rng.permutation(Q)
             for q in order:
-                p[q] = best_response(q, p, game)
+                p[q] = waterfill_rows(
+                    direct[q], _interference(p, game)[q], game.Gamma[q], game.pmax[q]
+                )[0]
         else:
             p = nxt
         if not np.isfinite(p).all():
@@ -266,133 +283,3 @@ def orthogonal_profile(game: NormalizedGame, partition) -> np.ndarray:
         )
         p[q] = waterfill(inp)
     return p
-
-
-@dataclass(frozen=True)
-class BruteForceResult:
-    """Gridded approximate equilibria found by exhaustive search."""
-
-    profiles: list
-    indices: np.ndarray
-    delta: np.ndarray
-    clusters: list
-    grids: list
-
-
-def _budget_face_grid(pmax_q: np.ndarray, grid: int) -> np.ndarray:
-    """Gridded strategies on the full-budget face of one user's set.
-
-    Best responses always exhaust the budget whenever the caps allow it, so
-    every equilibrium (and every profitable deviation) lives on this face;
-    if the caps sum below the budget the set collapses to the cap vector.
-    """
-    N = pmax_q.size
-    total = float(N)
-    cap = np.minimum(pmax_q, total)
-    if cap.sum() < total:
-        return pmax_q[None, :].copy()
-    if N == 1:
-        return np.array([[min(1.0, cap[0])]])
-    if N == 2:
-        lo = max(0.0, total - cap[1])
-        hi = min(total, cap[0])
-        t = np.linspace(lo, hi, grid)
-        return np.column_stack([t, total - t])
-    if N == 3:
-        pts = []
-        t0 = np.linspace(0.0, min(total, cap[0]), grid)
-        for x in t0:
-            rem = total - x
-            lo = max(0.0, rem - cap[2])
-            hi = min(rem, cap[1])
-            if lo > hi + 1e-12:
-                continue
-            steps = max(2, int(np.ceil(grid * (hi - lo) / total)) + 1)
-            for y in np.linspace(lo, hi, steps):
-                pts.append((x, y, rem - y))
-        return np.asarray(pts)
-    raise InvalidInputError("gridded strategies implemented for N <= 3")
-
-
-def _grid_rates(game: NormalizedGame, grids: list, q: int) -> np.ndarray:
-    """User q's rate over the cross product of gridded strategies."""
-    Q, N = game.Q, game.N
-    shape = tuple(g.shape[0] for g in grids)
-    denom = np.ones(shape + (N,))
-    for r in range(Q):
-        if r == q:
-            continue
-        view = [1] * Q + [N]
-        view[r] = shape[r]
-        denom = denom + game.gain2[r, q, :] * grids[r].reshape(view)
-    view = [1] * Q + [N]
-    view[q] = shape[q]
-    num = (game.gain2[q, q, :] / game.Gamma[q]) * grids[q].reshape(view)
-    return np.log2(1.0 + num / denom).mean(axis=-1)
-
-
-def brute_force_ne(game: NormalizedGame, grid: int = 64) -> BruteForceResult:
-    """Enumerate gridded profiles and keep the approximate equilibria.
-
-    Desk-scale oracle (Q*N <= 6, grid >= 16): a profile is kept when no
-    user can improve its rate by more than the grid-induced slack delta_q
-    through any gridded deviation.  Each user's rate is concave along its
-    own strategy axis, so the continuum best response can beat the best
-    grid point by at most the smaller discrete payoff drop next to the
-    gridded argmax; delta_q is that drop maximized over opponent strategies
-    (with a 4x safety factor covering the opponents' own grid offsets).
-    """
-    Q, N = game.Q, game.N
-    if Q * N > 6:
-        raise InvalidInputError("brute force is desk-scale only (Q*N <= 6)")
-    if grid < 16:
-        raise InvalidInputError("grid must be >= 16 points per dimension")
-    grids = [_budget_face_grid(game.pmax[q], grid) for q in range(Q)]
-    sizes = [g.shape[0] for g in grids]
-    if int(np.prod(sizes)) * N > 4_000_000:
-        raise InvalidInputError("grid too large; lower the resolution")
-
-    delta = np.empty(Q)
-    rates = []
-    for q in range(Q):
-        R = _grid_rates(game, grids, q)
-        rates.append(R)
-        delta[q] = 4.0 * _argmax_drop(R, axis=q) + 1e-12
-
-    accepted = np.ones(tuple(sizes), dtype=bool)
-    for q in range(Q):
-        best = rates[q].max(axis=q, keepdims=True)
-        accepted &= rates[q] >= best - delta[q]
-    idx = np.argwhere(accepted)
-
-    profiles = [np.stack([grids[q][i[q]] for q in range(Q)]) for i in idx]
-    labels, nlab = ndimage.label(accepted, structure=np.ones((3,) * Q, dtype=int))
-    point_label = labels[tuple(idx.T)] if idx.size else np.empty(0, dtype=int)
-    clusters = [np.nonzero(point_label == lab)[0].tolist() for lab in range(1, nlab + 1)]
-    return BruteForceResult(
-        profiles=profiles, indices=idx, delta=delta, clusters=clusters, grids=grids
-    )
-
-
-def _argmax_drop(R: np.ndarray, axis: int) -> float:
-    """Worst-case gap between grid and continuum maxima along one axis.
-
-    For a concave section, the continuum max exceeds the grid max by at
-    most the smaller payoff drop to the argmax's two neighbors (one-sided
-    at the boundary).  Returns that drop maximized over all sections.
-    """
-    R = np.moveaxis(R, axis, -1)
-    S = R.shape[-1]
-    if S < 2:
-        return 0.0
-    flat = R.reshape(-1, S)
-    m = flat.argmax(axis=1)
-    rows = np.arange(flat.shape[0])
-    best = flat[rows, m]
-    left = best - flat[rows, np.maximum(m - 1, 0)]
-    right = best - flat[rows, np.minimum(m + 1, S - 1)]
-    # Interior argmax: min of the two drops; boundary: the available one.
-    drop = np.minimum(left, right)
-    drop[m == 0] = right[m == 0]
-    drop[m == S - 1] = left[m == S - 1]
-    return float(drop.max())

@@ -90,9 +90,10 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
+    # One dumps and one write: json.dump with an indent writes many small chunks.
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_meta(path: str, payload: dict) -> None:
@@ -196,12 +197,27 @@ def run_check_uniqueness(cfg: dict, out_path: str) -> dict:
 # ---------------------------------------------------------------------------
 # equilibrium PSD snapshot
 
+_PSD_KEYS = {"kind", "out", "seed", "scenario", "solver", "check_rule"}
+_SOLVER_KEYS = {"schedule", "tol", "max_iter"}
+
+
 def run_psd(cfg: dict, out_path: str) -> dict:
-    """Solve one scenario to equilibrium and emit the per-bin powers."""
+    """Solve one scenario to equilibrium and emit the per-bin powers.
+
+    Rejects a config or ``solver`` key it does not read before any channel
+    is built.
+    """
+    solver = cfg.get("solver", {})
+    if not isinstance(solver, dict):
+        raise InvalidInputError("psd solver must be an object of schedule, tol, max_iter")
+    for where, keys, known in (("psd config", cfg, _PSD_KEYS),
+                               ("psd solver", solver, _SOLVER_KEYS)):
+        unknown = ", ".join(sorted(set(keys) - known))
+        if unknown:
+            raise InvalidInputError(f"unknown {where} keys: {unknown}")
     root_seed = int(cfg.get("seed", 0))
     ch = scenario_from_config(cfg["scenario"], seed=(root_seed,))
     game = build_game(ch)
-    solver = cfg.get("solver", {})
     res = solve(
         game,
         schedule=solver.get("schedule", "sequential"),

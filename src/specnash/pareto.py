@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import NormalizedGame
-from .equilibrium import _budget_face_grid, _grid_rates, solve
+from .equilibrium import solve
 from .errors import InvalidInputError
 from .rng import derive_rng
 from .waterfilling import PowerProfile, WaterfillInput, level_solve, waterfill
@@ -175,6 +175,58 @@ def _box_simplex_grid(pmax_q: np.ndarray, N: int, resolution: int) -> np.ndarray
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
         return pts[pts.sum(axis=1) <= total + 1e-12]
     raise InvalidInputError("grid sampling implemented for N <= 3")
+
+
+def _budget_face_grid(pmax_q: np.ndarray, grid: int) -> np.ndarray:
+    """Gridded strategies on the full-budget face of one user's set.
+
+    Best responses always exhaust the budget whenever the caps allow it, so
+    every equilibrium (and every profitable deviation) lives on this face;
+    if the caps sum below the budget the set collapses to the cap vector.
+    """
+    N = pmax_q.size
+    total = float(N)
+    cap = np.minimum(pmax_q, total)
+    if cap.sum() < total:
+        return pmax_q[None, :].copy()
+    if N == 1:
+        return np.array([[min(1.0, cap[0])]])
+    if N == 2:
+        lo = max(0.0, total - cap[1])
+        hi = min(total, cap[0])
+        t = np.linspace(lo, hi, grid)
+        return np.column_stack([t, total - t])
+    if N == 3:
+        pts = []
+        t0 = np.linspace(0.0, min(total, cap[0]), grid)
+        for x in t0:
+            rem = total - x
+            lo = max(0.0, rem - cap[2])
+            hi = min(rem, cap[1])
+            if lo > hi + 1e-12:
+                continue
+            steps = max(2, int(np.ceil(grid * (hi - lo) / total)) + 1)
+            for y in np.linspace(lo, hi, steps):
+                pts.append((x, y, rem - y))
+        return np.asarray(pts)
+    raise InvalidInputError("gridded strategies implemented for N <= 3")
+
+
+def _grid_rates(game: NormalizedGame, grids: list, q: int) -> np.ndarray:
+    """User q's rate over the cross product of gridded strategies."""
+    Q, N = game.Q, game.N
+    shape = tuple(g.shape[0] for g in grids)
+    denom = np.ones(shape + (N,))
+    for r in range(Q):
+        if r == q:
+            continue
+        view = [1] * Q + [N]
+        view[r] = shape[r]
+        denom = denom + game.gain2[r, q, :] * grids[r].reshape(view)
+    view = [1] * Q + [N]
+    view[q] = shape[q]
+    num = (game.gain2[q, q, :] / game.Gamma[q]) * grids[q].reshape(view)
+    return np.log2(1.0 + num / denom).mean(axis=-1)
 
 
 @dataclass(frozen=True)

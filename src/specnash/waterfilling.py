@@ -17,9 +17,11 @@ power whenever the budget can be met.
 The level is found by :func:`level_solve`, an exact sort-based solve over
 the piecewise-linear supply curve (O(N log N)) that also serves stacks of
 rows at once: usable-bin pruning and the Euclidean projection onto a
-user's strategy set solve the same problem.  Budget is met to 1e-12
-absolute, which leaves headroom for fixed-point residual targets of 1e-8
-downstream.
+user's strategy set solve the same problem.  :func:`waterfill_rows` runs
+the whole operator on raw stacks of rows (one equilibrium sweep, all users
+at once); :func:`waterfill` is its validated one-row form.  Budget is met
+to 1e-12 absolute, which leaves headroom for fixed-point residual targets
+of 1e-8 downstream.
 """
 
 from __future__ import annotations
@@ -200,43 +202,73 @@ def level_solve(prices, caps, target) -> np.ndarray | float:
     caps = np.broadcast_to(caps, shape + (N,)).reshape(-1, N)
     target = np.broadcast_to(target, shape).reshape(-1)
     capped = caps.min(-1) < np.inf
-    mu = np.empty(prices.shape[0])
-    if not capped.all():
+    if capped.all():
+        mu = _walk_level(prices, caps, target)
+    elif not capped.any():
+        mu = _cummean_level(prices, target)
+    else:
+        mu = np.empty(prices.shape[0])
         mu[~capped] = _cummean_level(prices[~capped], target[~capped])
-    if capped.any():
         mu[capped] = _walk_level(prices[capped], caps[capped], target[capped])
     return mu.reshape(shape)
 
 
-def _solve_arrays(g: np.ndarray, i: np.ndarray, Gamma: float, pmax: np.ndarray, budget: float):
-    """Solve on raw arrays: returns (p, mu), mu None off the level branch."""
-    target = budget * g.size
+def waterfill_rows(g, i, Gamma, pmax, budget: float = 1.0):
+    """Waterfill every row of ``(..., N)`` arrays at once: returns (p, mu).
+
+    Row r solves the problem of :func:`waterfill` for gains ``g[r]``,
+    interference factors ``i[r]``, gap ``Gamma[r]`` (``Gamma`` is a scalar
+    or has shape ``(...)``) and caps ``pmax[r]``, and is bit-equal to the
+    same row solved alone; ``mu[r]`` is its level, NaN on the trivial and
+    saturation branches.  The operands are not validated: the caller
+    guarantees what :class:`WaterfillInput` checks.  1-D operands give a
+    1-D allocation and a float level.
+    """
+    g = np.asarray(g, dtype=np.float64)
+    i = np.asarray(i, dtype=np.float64)
+    pmax = np.asarray(pmax, dtype=np.float64)
+    # Per-row scalars broadcast along a new last axis; a 1-D row keeps them
+    # scalar, which keeps the one-row path as fast as a plain 1-D solve.
+    rows = g.ndim > 1
+    col = (lambda a: np.asarray(a)[..., None]) if rows else (lambda a: a)
+    gi = col(Gamma) * i
+    target = budget * g.shape[-1]
     if g.min() > 0.0:
-        prices = Gamma * i / g
+        prices = gi / g
     else:
         # A dead bin's infinite price keeps it empty at every level.
-        prices = np.divide(Gamma * i, g, out=np.full(g.size, np.inf), where=g > 0.0)
+        prices = np.divide(gi, g, out=np.full(gi.shape, np.inf), where=g > 0.0)
     try:
-        mu = level_solve(prices, pmax, target)
+        mu, short = level_solve(prices, pmax, target), None
     except InfeasibleWaterfillError:
-        # The caps of the usable bins cannot absorb the budget.
-        if _capacity(pmax) < target:
-            # Neither can all caps: the strategy set collapses onto them.
-            return pmax.copy(), None
-        if not (g > 0.0).any():
-            raise InfeasibleWaterfillError("all gains are zero with caps above budget")
-        # Saturate the usable bins, the rest unused (rate-optimal, level unbounded).
-        return np.where(g > 0.0, pmax, 0.0), None
+        # Only the rows whose enterable caps absorb the budget have a level.
+        short = _capacity(pmax, prices < np.inf) < target
+        mu = np.full(short.shape, np.nan)
+        if not short.all():
+            mu[~short] = level_solve(prices[~short], pmax[~short], target)
     # np.clip without its dispatch overhead, which shows at N = 64.
-    p = np.minimum(np.maximum(mu - prices, 0.0), pmax)
-    err = p.sum() - target
-    if abs(err) > 1e-13 * max(1.0, target):
+    p = np.minimum(np.maximum(col(mu) - prices, 0.0), pmax)
+    err = p.sum(-1) - target
+    drift = abs(err) > 1e-13 * max(1.0, target)
+    if drift.any() if rows else drift:
         # Newton polish on the interior bins guards against float drift.
-        interior = (p > 0.0) & (p < pmax)
-        if interior.any():
-            mu -= err / interior.sum()
-            p = np.minimum(np.maximum(mu - prices, 0.0), pmax)
-    return p, mu
+        interior = ((p > 0.0) & (p < pmax)).sum(-1)
+        drift &= interior > 0
+        mu = np.where(drift, mu - err / np.maximum(interior, 1), mu)
+        polished = np.minimum(np.maximum(col(mu) - prices, 0.0), pmax)
+        p = np.where(col(drift), polished, p)
+    if short is not None:
+        # The caps of the usable bins cannot absorb the budget.  Where all
+        # caps fall short too, the strategy set collapses onto them;
+        # otherwise the usable bins saturate and the rest stay unused
+        # (rate-optimal, level unbounded).
+        usable = g > 0.0
+        trivial = _capacity(pmax) < target
+        if (short & ~trivial & ~usable.any(-1)).any():
+            raise InfeasibleWaterfillError("all gains are zero with caps above budget")
+        fill = np.where(col(trivial) | usable, pmax, 0.0)
+        p = np.where(col(short), fill, p)
+    return p, (mu if rows else float(mu))
 
 
 def waterfill(inp: WaterfillInput) -> np.ndarray:
@@ -246,8 +278,7 @@ def waterfill(inp: WaterfillInput) -> np.ndarray:
     (the feasible set collapses onto its upper face), otherwise the
     level-clipped allocation with the budget met to 1e-12.
     """
-    p, _ = _solve_arrays(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)
-    return p
+    return waterfill_rows(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)[0]
 
 
 def water_level(inp: WaterfillInput) -> float:
@@ -257,8 +288,8 @@ def water_level(inp: WaterfillInput) -> float:
     """
     if _capacity(inp.pmax) < inp.budget * inp.N:
         raise InvalidInputError("caps sum below budget: the level is undefined (trivial branch)")
-    p, mu = _solve_arrays(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)
-    if mu is None:
+    mu = waterfill_rows(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)[1]
+    if np.isnan(mu):
         raise InfeasibleWaterfillError(
             "caps on usable bins cannot absorb the budget; no finite level exists"
         )

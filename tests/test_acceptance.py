@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from conftest import random_c1_game
+from ne_oracle import brute_force_ne
 from specnash import (
     ChannelSet,
     UNBOUNDED,
@@ -20,7 +21,6 @@ from specnash import (
 )
 from specnash.equilibrium import (
     best_response,
-    brute_force_ne,
     check_allocation_rule,
     orthogonal_profile,
     solve,

@@ -346,6 +346,40 @@ class TestVerifyTheorem1Driver:
         assert json.loads(out.read_text())["config"] == cfg
 
 
+class TestPsdDriver:
+    @pytest.mark.parametrize("change,named", [
+        ({"trial": 10}, "trial"),
+        ({"solver": {"tolerance": 1e-10}}, "tolerance"),
+        ({"solver": {"schedule": "simultaneous", "maxiter": 5}}, "maxiter"),
+        ({"solver": [1e-10]}, "object"),
+    ])
+    def test_bad_config_exit_code(self, tmp_path, monkeypatch, capsys, change, named):
+        # "tolerance" silently ran at the default tol of 1e-8 before.
+        import specnash.experiments as experiments_mod
+
+        def no_channel(*args, **kwargs):
+            raise AssertionError("config rejected only after building a channel")
+
+        monkeypatch.setattr(experiments_mod, "scenario_from_config", no_channel)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(PSD_CFG | change))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_accepted_keys(self, tmp_path):
+        out = tmp_path / "x.csv"
+        cfg = PSD_CFG | {"out": str(out), "solver": {"schedule": "sequential", "tol": 1e-10,
+                                                     "max_iter": 500}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(cfg_path)]) == 0
+        meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+        assert meta["config"] == cfg and meta["converged"] and meta["residual"] <= 1e-10
+
+
 class TestCliContract:
     def test_solve_roundtrip_and_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

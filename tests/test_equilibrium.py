@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import flat_game, high_interference_game, random_c1_game
+from equilibrium_oracle import oracle_solve
+from ne_oracle import brute_force_ne
 from specnash import (
     InvalidInputError,
+    NormalizedGame,
     NumericFailureError,
     UNBOUNDED,
     WaterfillInput,
@@ -14,7 +17,6 @@ from specnash import (
 )
 from specnash.equilibrium import (
     best_response,
-    brute_force_ne,
     check_allocation_rule,
     classify_equilibrium,
     classify_profile,
@@ -23,6 +25,41 @@ from specnash.equilibrium import (
 )
 from specnash.pareto import rate_array, random_feasible_profile
 from specnash.uniqueness import check_conditions
+from specnash.waterfilling import waterfill_rows
+
+
+def oracle_game(kind: str) -> NormalizedGame:
+    """Q=4, N=24 games that send the solver through every waterfill branch."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    P = 10.0  # the 10 dB default SNR
+    pmax_bar = None
+    if kind in ("capped", "short_caps", "dead_bins"):
+        pmax_bar = P * rng.uniform(0.4, 3.0, (4, 24))
+    if kind == "short_caps":
+        pmax_bar[0] = P * rng.uniform(0.1, 0.9, 24)  # user 0 pinned to its caps
+    game = build_game(ratio_scenario(4, 24, d_ratio=3.0, seed=(len(kind),), channel_order=4,
+                                     pmax_bar=pmax_bar))
+    if kind != "dead_bins":
+        return game
+    gain2 = game.gain2.copy()
+    gain2[0, 0, :5] = 0.0  # dead bins on a usable budget
+    gain2[1, 1, 3:] = 0.0  # caps of the live bins short of the budget: saturated
+    return NormalizedGame(gain2=gain2, pmax=game.pmax, Gamma=game.Gamma)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Shapes of the gains of every waterfill_rows call made by solve."""
+    import specnash.equilibrium as equilibrium
+
+    calls = []
+
+    def counted(g, i, Gamma, pmax, budget=1.0):
+        calls.append(np.shape(g))
+        return waterfill_rows(g, i, Gamma, pmax, budget)
+
+    monkeypatch.setattr(equilibrium, "waterfill_rows", counted)
+    return calls
 
 
 class TestBestResponse:
@@ -114,9 +151,7 @@ class TestSolve:
             assert abs(rate_array(p2, game)[q] - base[q]) <= 1e-10
 
     @pytest.mark.parametrize("tol,max_iter", [(1e-10, 2000), (1e-30, 7)])
-    def test_jacobi_one_response_map_per_sweep(self, monkeypatch, tol, max_iter):
-        import specnash.equilibrium as equilibrium
-
+    def test_jacobi_one_response_map_per_sweep(self, kernel_calls, tol, max_iter):
         game = build_game(ratio_scenario(3, 16, d_ratio=4.0, snr_db=10.0, seed=(5,),
                                          channel_order=3))
         # The naive loop evaluates the map for the update and again for the
@@ -129,20 +164,87 @@ class TestSolve:
             trace.append(float(np.abs(p - nxt).max()))
             if trace[-1] <= tol:
                 break
-        calls = []
-
-        def counted(q, p, game):
-            calls.append(q)
-            return best_response(q, p, game)
-
-        monkeypatch.setattr(equilibrium, "best_response", counted)
         res = solve(game, "simultaneous", tol=tol, max_iter=max_iter)
         assert res.converged == (tol > 1e-20)
-        assert len(calls) == game.Q * (res.iterations + 1)
+        # One batched kernel call over all users per response map.
+        assert kernel_calls == [(game.Q, game.N)] * (res.iterations + 1)
         assert res.iterations == it
         assert res.profile.p.tobytes() == p.tobytes()
         assert res.residual == trace[-1]
         assert res.trace.tobytes() == np.asarray(trace).tobytes()
+
+    def test_gauss_seidel_kernel_calls(self, kernel_calls, monkeypatch):
+        import specnash.equilibrium as equilibrium
+
+        game = build_game(ratio_scenario(3, 16, d_ratio=4.0, snr_db=10.0, seed=(5,),
+                                         channel_order=3))
+        monkeypatch.setattr(equilibrium, "best_response", None)
+        monkeypatch.setattr(equilibrium, "waterfill", None)
+        res = solve(game, "sequential", tol=1e-10)
+        # Per sweep: one raw row per user, then the batched residual map.
+        sweep = [(game.N,)] * game.Q + [(game.Q, game.N)]
+        assert kernel_calls == sweep * res.iterations
+
+    @pytest.mark.parametrize("schedule,order_seed", [("sequential", None), ("sequential", 7),
+                                                     ("simultaneous", None)])
+    @pytest.mark.parametrize("kind", ["uncapped", "capped", "short_caps", "dead_bins"])
+    @pytest.mark.parametrize("max_iter", [2000, 3])
+    def test_matches_per_user_oracle(self, schedule, order_seed, kind, max_iter):
+        game = oracle_game(kind)
+        res = solve(game, schedule, tol=1e-11, max_iter=max_iter, order_seed=order_seed)
+        p, residual, trace, iterations, converged = oracle_solve(
+            game, schedule, tol=1e-11, max_iter=max_iter, order_seed=order_seed)
+        assert res.converged == converged == (max_iter > 3)
+        assert res.iterations == iterations
+        assert res.profile.p.tobytes() == p.tobytes()
+        assert res.residual == residual
+        assert res.trace.tobytes() == trace.tobytes()
+
+    def test_matches_per_user_oracle_from_init(self):
+        game = oracle_game("capped")
+        init = random_feasible_profile(game, np.random.default_rng(3))
+        res = solve(game, "sequential", init=init, tol=1e-11, order_seed=11)
+        p, residual, trace, iterations, _ = oracle_solve(game, "sequential", init=init,
+                                                         tol=1e-11, order_seed=11)
+        assert res.profile.p.tobytes() == p.tobytes()
+        assert res.trace.tobytes() == trace.tobytes() and res.iterations == iterations
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_direct_gain(self, value):
+        # The direct gains are validated once on entry, not per waterfill.
+        gain2 = flat_game(Q=2, coupling=0.2, N=3).gain2.copy()
+        gain2[1, 1, 2] = value
+        game = NormalizedGame(gain2=gain2, pmax=np.full((2, 3), UNBOUNDED), Gamma=np.ones(2))
+        for schedule in ("sequential", "simultaneous"):
+            with pytest.raises(InvalidInputError, match="gains"):
+                solve(game, schedule)
+
+    def test_rejects_nan_cap(self):
+        pmax = np.full((2, 3), 2.0)
+        pmax[0, 1] = np.nan
+        game = NormalizedGame(gain2=flat_game(Q=2, coupling=0.2, N=3).gain2, pmax=pmax,
+                              Gamma=np.ones(2))
+        for schedule in ("sequential", "simultaneous"):
+            with pytest.raises(InvalidInputError, match="pmax"):
+                solve(game, schedule)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_init(self, value):
+        game = flat_game(Q=2, coupling=0.2, N=2)
+        init = np.ones((2, 2))
+        init[1, 0] = value
+        for schedule in ("sequential", "simultaneous"):
+            with pytest.raises(InvalidInputError, match="init"):
+                solve(game, schedule, init=init)
+
+    def test_rejects_non_finite_interference(self):
+        # An infinite cross gain makes the interference map non-finite.
+        gain2 = flat_game(Q=2, coupling=0.2, N=3).gain2.copy()
+        gain2[0, 1, 0] = np.inf
+        game = NormalizedGame(gain2=gain2, pmax=np.full((2, 3), UNBOUNDED), Gamma=np.ones(2))
+        for schedule in ("sequential", "simultaneous"):
+            with pytest.raises(InvalidInputError, match="interference"):
+                solve(game, schedule)
 
     def test_bad_args(self):
         game = flat_game()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from equilibrium_oracle import oracle_waterfill
 from level_oracle import oracle_level
 from specnash import (
     InfeasibleWaterfillError,
@@ -15,7 +16,7 @@ from specnash import (
     water_level,
     waterfill,
 )
-from specnash.waterfilling import level_solve
+from specnash.waterfilling import level_solve, waterfill_rows
 
 INF = UNBOUNDED
 
@@ -194,6 +195,95 @@ def level_problems(draw):
     else:
         target = draw(arrays(np.float64, batch, elements=st.floats(0.05, 1.5))) * N
     return prices, caps, target
+
+
+ROW_KINDS = ("uncapped", "capped", "short", "dead", "saturate", "polish")
+
+
+def kernel_row(rng, kind: str, N: int):
+    """One (g, i, Gamma, pmax) row aimed at one waterfill branch."""
+    g = 10.0 ** rng.uniform(-2.0, 3.0, N)
+    i = 1.0 + rng.exponential(1.0, N)
+    pmax = rng.uniform(0.3, 3.0, N)
+    pmax[rng.integers(N)] = N  # the caps absorb the budget
+    if kind == "uncapped":
+        pmax = np.full(N, INF)
+    elif kind == "short":
+        pmax = 0.999 * rng.uniform(0.0, 1.0, N)  # all caps short: the cap vector
+    elif kind == "dead" and N > 1:
+        g[rng.random(N) < 0.4] = 0.0
+        g[rng.integers(N)] = 1.0
+        pmax[rng.random(N) < 0.5] = INF
+        pmax[g == 0.0] = N  # the live caps alone may fall short
+    elif kind == "saturate" and N > 1:
+        dead = rng.random(N) < 0.5
+        dead[0], dead[-1] = True, False
+        g[dead] = 0.0
+        pmax = np.where(dead, N, 0.999 * rng.uniform(0.0, 1.0, N))
+    elif kind == "polish":
+        g = 10.0 ** rng.uniform(-9.0, -6.0, N)  # levels near 1e9 drift in the last bits
+    return g, i, rng.uniform(1.0, 3.0), pmax
+
+
+@st.composite
+def kernel_batches(draw):
+    Q, N = draw(st.integers(1, 6)), draw(st.integers(1, 64))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=Q, max_size=Q))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [kernel_row(rng, kind, N) for kind in kinds]
+    return tuple(np.array([row[j] for row in rows]) for j in range(4))
+
+
+class TestWaterfillRows:
+    """The batched kernel against per-row ``waterfill`` and the try/except oracle."""
+
+    def test_bit_equal_to_per_row_waterfill(self):
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(batch=kernel_batches())
+        def check(batch):
+            g, i, Gamma, pmax = batch
+            p, mu = waterfill_rows(g, i, Gamma, pmax)
+            assert p.shape == g.shape and mu.shape == Gamma.shape
+            for r in range(g.shape[0]):
+                ref, ref_mu, branch = oracle_waterfill(g[r], i[r], Gamma[r], pmax[r])
+                one = waterfill(WaterfillInput(g=g[r], i=i[r], Gamma=Gamma[r], pmax=pmax[r]))
+                assert p[r].tobytes() == ref.tobytes() == one.tobytes()
+                if ref_mu is None:
+                    assert np.isnan(mu[r])
+                else:
+                    assert mu[r] == ref_mu
+                    seen.add("capped" if np.isfinite(pmax[r]).any() else "uncapped")
+                    if not g[r].all():
+                        seen.add("dead")
+                seen.add(branch)
+
+        check()
+        assert seen == {"level", "polish", "trivial", "saturate", "capped", "uncapped", "dead"}
+
+    def test_leading_axes_and_1d(self, rng):
+        rows = [kernel_row(rng, kind, 9) for kind in ROW_KINDS]
+        g, i, Gamma, pmax = (np.array([row[j] for row in rows]) for j in range(4))
+        p, mu = waterfill_rows(g, i, Gamma, pmax)
+        p3, mu3 = waterfill_rows(*(a.reshape((2, 3) + a.shape[1:]) for a in (g, i, Gamma, pmax)))
+        assert p3.reshape(p.shape).tobytes() == p.tobytes()
+        assert mu3.reshape(mu.shape).tobytes() == mu.tobytes()
+        for r in range(len(rows)):
+            p1, mu1 = waterfill_rows(g[r], i[r], Gamma[r], pmax[r])
+            assert isinstance(mu1, float) and p1.tobytes() == p[r].tobytes()
+            assert np.float64(mu1).tobytes() == mu[r].tobytes()
+        # Plain sequences are taken as arrays, as WaterfillInput takes them.
+        p1, mu1 = waterfill_rows([1.0, 2.0], [1, 1], 1, [INF, INF])
+        assert p1.tolist() == [0.75, 1.25] and mu1 == 1.75
+
+    def test_all_dead_row_raises(self):
+        g = np.array([[1.0, 2.0], [0.0, 0.0]])
+        with pytest.raises(InfeasibleWaterfillError, match="zero"):
+            waterfill_rows(g, np.ones((2, 2)), np.ones(2), np.full((2, 2), INF))
+        # Caps short of the budget pin even an all-dead row to them.
+        p, mu = waterfill_rows(g, np.ones((2, 2)), np.ones(2), np.full((2, 2), 0.5))
+        assert p.tolist() == [[0.5, 0.5], [0.5, 0.5]] and np.isnan(mu).all()
 
 
 class TestLevelSolve:
