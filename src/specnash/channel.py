@@ -13,7 +13,7 @@ Bin indices are 0-based internally and 1-based in emitted reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,13 +200,32 @@ def build_game(ch: ChannelSet) -> NormalizedGame:
     Pure function: ``gain2[r, q, k] = |resp_rq(k)|^2 * P_r / (sigma2_q *
     d_rq**gamma)`` and ``pmax[q] = pmax_bar[q] / P_q``.
     """
-    Q, N = ch.Q, ch.N
-    resp = np.fft.fft(ch.taps, n=N, axis=2)
-    fading2 = np.abs(resp) ** 2
+    return _scaled_game(ch, np.abs(np.fft.fft(ch.taps, n=ch.N, axis=2)) ** 2)
+
+
+def distance_sweep(ch: ChannelSet, distances) -> list:
+    """``build_game`` of ``ch`` at each (Q, Q) distance matrix, in order.
+
+    The taps' frequency response is computed once and every game rescales
+    the same fading powers, so game i equals ``build_game`` of ``ch`` with
+    ``d = distances[i]``.
+    """
+    fading2 = np.abs(np.fft.fft(ch.taps, n=ch.N, axis=2)) ** 2
+    return [_scaled_game(replace(ch, d=d), fading2) for d in distances]
+
+
+def _scaled_game(ch: ChannelSet, fading2: np.ndarray) -> NormalizedGame:
     scale = ch.P[:, None] / (ch.sigma2[None, :] * ch.d**ch.gamma)
-    gain2 = fading2 * scale[:, :, None]
-    pmax = ch.pmax_bar / ch.P[:, None]
-    return NormalizedGame(gain2=gain2, pmax=pmax, Gamma=ch.Gamma.copy())
+    return NormalizedGame(
+        gain2=fading2 * scale[:, :, None], pmax=ch.pmax_bar / ch.P[:, None], Gamma=ch.Gamma.copy()
+    )
+
+
+def ratio_distances(Q: int, d_ratio: float) -> np.ndarray:
+    """Distance matrix with unit direct links and every cross link at ``d_ratio``."""
+    d = np.full((Q, Q), float(d_ratio))
+    np.fill_diagonal(d, 1.0)
+    return d
 
 
 def ratio_scenario(
@@ -236,11 +255,7 @@ def ratio_scenario(
     (normalized) for mildly selective channels.  Streams are keyed by
     ``(seed, r, q)``.
     """
-    if d is None:
-        d = np.full((Q, Q), float(d_ratio))
-        np.fill_diagonal(d, 1.0)
-    else:
-        d = np.asarray(d, dtype=np.float64)
+    d = ratio_distances(Q, d_ratio) if d is None else np.asarray(d, dtype=np.float64)
     if tap_decay is not None:
         profile = np.exp(-np.arange(channel_order + 1) / float(tap_decay))
         profile /= profile.sum()

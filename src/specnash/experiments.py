@@ -22,12 +22,13 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import __version__
-from .channel import ChannelSet, UNBOUNDED, build_game, ratio_scenario
+from .channel import (ChannelSet, UNBOUNDED, build_game, distance_sweep, ratio_distances,
+                      ratio_scenario)
 from .equilibrium import classify_profile, check_allocation_rule, solve
 from .errors import InvalidInputError
 from .matrix_oracle import verify_diagonal_optimality
 from .pareto import rate_array, sample_rate_region, solve_modified_game, solve_scalarized
-from .uniqueness import CONDITION_NAMES, check_conditions
+from .uniqueness import CONDITION_NAMES, DQ_MODES, check_conditions, check_stack
 
 CSV_SCHEMA_VERSION = 1
 
@@ -45,9 +46,7 @@ def scenario_from_config(scen: dict, seed) -> ChannelSet:
     does not use is rejected.
     """
     kind, keys = ("raw", _RAW_KEYS) if "taps" in scen else ("ratio", _RATIO_KEYS)
-    unknown = ", ".join(sorted(set(scen) - keys))
-    if unknown:
-        raise InvalidInputError(f"unknown {kind} scenario keys: {unknown}")
+    _reject_unknown(f"{kind} scenario keys", scen, keys)
     if "taps" in scen:
         taps = np.asarray(scen["taps"], dtype=np.float64)
         if taps.ndim != 4 or taps.shape[-1] != 2:
@@ -75,6 +74,13 @@ def scenario_from_config(scen: dict, seed) -> ChannelSet:
     if "d" in kwargs:
         kwargs["d"] = np.asarray(kwargs["d"], dtype=np.float64)
     return ratio_scenario(int(scen["Q"]), int(scen["N"]), seed=seed, **kwargs)
+
+
+def _reject_unknown(what: str, given, known) -> None:
+    """Reject, by name, the entries of ``given`` (a dict's keys or a list) not in ``known``."""
+    unknown = ", ".join(sorted(str(v) for v in given if v not in known))
+    if unknown:
+        raise InvalidInputError(f"unknown {what}: {unknown}")
 
 
 def _fmt(x) -> str:
@@ -116,27 +122,32 @@ def _json_default(o):
 
 def _uniqueness_trial(args):
     scen, root_seed, trial, ratios, modes = args
+    ch = scenario_from_config(dict(scen, d_ratio=ratios[0]), seed=(root_seed, trial))
+    # An explicit distance matrix overrides d_ratio, as in ratio_scenario.
+    games = distance_sweep(ch, [ch.d if "d" in scen else ratio_distances(ch.Q, r) for r in ratios])
     out = np.zeros((len(ratios), len(modes), len(CONDITION_NAMES)), dtype=bool)
-    for i, ratio in enumerate(ratios):
-        cfg = dict(scen)
-        cfg["d_ratio"] = ratio
-        ch = scenario_from_config(cfg, seed=(root_seed, trial))
-        game = build_game(ch)
-        for j, mode in enumerate(modes):
-            report = check_conditions(game, Dq_mode=mode)
-            for c, name in enumerate(CONDITION_NAMES):
-                out[i, j, c] = report.satisfied(name)
+    for j, mode in enumerate(modes):
+        for i, report in enumerate(check_stack(games, mode)):
+            out[i, j] = [report.satisfied(name) for name in CONDITION_NAMES]
     return out
+
+
+_MC_KEYS = {"kind", "out", "seed", "scenario", "trials", "d_ratio_sweep", "Dq_modes",
+            "conditions"}
 
 
 def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     """Condition satisfaction probabilities over random channel draws.
 
-    Sweeps the normalized interlink distance; the channel taps of trial t
-    are shared across the sweep (streams keyed by (seed, t, link)), so the
-    sweep compares distances on matched fading.  ``workers`` is capped at
-    the CPU count.
+    Sweeps the normalized interlink distance on matched fading: trial t
+    draws its taps once (streams keyed by (seed, t, link)) and takes their
+    FFT once, each distance rescales the same fading powers, and the
+    games of the whole sweep are certified as one stack per ``Dq_mode``.
+    Rejects an unknown config key, condition or Dq mode and an empty
+    sweep, mode or condition list before any channel is built.
+    ``workers`` is capped at the CPU count.
     """
+    _reject_unknown("uniqueness_mc config keys", cfg, _MC_KEYS)
     scen = cfg["scenario"]
     root_seed = int(cfg.get("seed", 0))
     trials = int(cfg.get("trials", 500))
@@ -146,8 +157,13 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     ratios = [float(r) for r in cfg.get("d_ratio_sweep", [scen.get("d_ratio", 2.0)])]
-    modes = list(cfg.get("Dq_modes", ["virtual_interferer", "all"]))
+    modes = list(cfg.get("Dq_modes", DQ_MODES))
     conditions = list(cfg.get("conditions", CONDITION_NAMES))
+    if not (ratios and modes and conditions):
+        raise InvalidInputError("d_ratio_sweep, Dq_modes and conditions must each name an entry")
+    _reject_unknown(f"Dq_modes (expected {', '.join(DQ_MODES)})", modes, DQ_MODES)
+    _reject_unknown(f"conditions (expected {', '.join(CONDITION_NAMES)})", conditions,
+                    CONDITION_NAMES)
 
     jobs = [(scen, root_seed, t, ratios, modes) for t in range(trials)]
     if workers > 1:
@@ -210,11 +226,8 @@ def run_psd(cfg: dict, out_path: str) -> dict:
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise InvalidInputError("psd solver must be an object of schedule, tol, max_iter")
-    for where, keys, known in (("psd config", cfg, _PSD_KEYS),
-                               ("psd solver", solver, _SOLVER_KEYS)):
-        unknown = ", ".join(sorted(set(keys) - known))
-        if unknown:
-            raise InvalidInputError(f"unknown {where} keys: {unknown}")
+    _reject_unknown("psd config keys", cfg, _PSD_KEYS)
+    _reject_unknown("psd solver keys", solver, _SOLVER_KEYS)
     root_seed = int(cfg.get("seed", 0))
     ch = scenario_from_config(cfg["scenario"], seed=(root_seed,))
     game = build_game(ch)
@@ -376,9 +389,7 @@ def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
     Rejects a config key it does not read, fewer than one instance, an
     empty payoff list and an unknown payoff name before any channel is built.
     """
-    unknown = ", ".join(sorted(set(cfg) - _THEOREM1_KEYS))
-    if unknown:
-        raise InvalidInputError(f"unknown verify_theorem1 config keys: {unknown}")
+    _reject_unknown("verify_theorem1 config keys", cfg, _THEOREM1_KEYS)
     root_seed = int(cfg.get("seed", 0))
     instances = int(cfg.get("instances", 10))
     samples = int(cfg.get("samples", 200))
@@ -389,9 +400,7 @@ def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
         raise InvalidInputError(f"instances must be >= 1, got {instances}")
     if not payoffs:
         raise InvalidInputError("payoffs must name at least one payoff")
-    bad = [p for p in payoffs if p not in _PAYOFFS]
-    if bad:
-        raise InvalidInputError(f"unknown payoff {bad[0]!r}; expected one of {_PAYOFFS}")
+    _reject_unknown(f"payoffs (expected {', '.join(_PAYOFFS)})", payoffs, _PAYOFFS)
 
     results = []
     total_violations = 0

@@ -16,8 +16,8 @@ within 1e-9 of the threshold are reported as boundary cases.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.linalg import matrix_balance
@@ -29,6 +29,7 @@ from .waterfilling import level_solve
 _BOUNDARY = 1e-9
 
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
+DQ_MODES = ("virtual_interferer", "all")
 
 
 @dataclass(frozen=True)
@@ -49,22 +50,8 @@ class ConditionVerdict:
     error: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-            "threshold": self.threshold,
-            "error": self.error,
-            "detail": {k: _jsonable(v) for k, v in self.detail.items()},
-        }
-
-
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    return v
+        detail = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self.detail.items()}
+        return {**vars(self), "detail": detail}
 
 
 @dataclass(frozen=True)
@@ -79,8 +66,8 @@ class UniquenessReport:
         return self.conditions[name]
 
     def satisfied(self, name: str) -> bool:
-        v = self.conditions[name].satisfied
-        return bool(v) if v is not None else False
+        """True only for a verdict that holds; a boundary or error verdict reads False."""
+        return bool(self.conditions[name].satisfied)
 
     def to_dict(self) -> dict:
         return {
@@ -90,51 +77,76 @@ class UniquenessReport:
         }
 
 
-def usable_carriers(game: NormalizedGame, q: int, mode: str = "virtual_interferer") -> np.ndarray:
-    """Boolean mask of bins user q could populate under some opponent play.
+def _usable(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
+    """:func:`usable_sets` of stacked games, shape (G, Q, N).
 
-    mode="all" keeps every bin.  mode="virtual_interferer" replaces all
-    opponents by a single adversary holding their pooled budget and, per
-    bin, the strongest cross gain; a bin is dropped only if user q still
-    leaves it empty when the adversary spends everything on the *other*
-    bins (uniformly) and nothing on the bin under test.  The returned set
-    therefore contains every bin the true best responses can touch.
+    Every (game, user, alive bin) is one row of a single level solve.  If it
+    raises, the users are solved one by one: a user whose alive bins cannot
+    absorb the budget saturates them, so it keeps those with a nonzero cap.
     """
-    Q, N = game.Q, game.N
+    G, Q, N = direct.shape
     if mode == "all":
-        return np.ones(N, dtype=bool)
-    if mode != "virtual_interferer":
+        return np.ones((G, Q, N), dtype=bool)
+    if mode not in DQ_MODES:
         raise InvalidInputError(f"unknown Dq mode {mode!r}")
-    direct = game.gain2[q, q, :]
     alive = direct > 0
-    if Q == 1 or N == 1 or not alive.any():
+    if Q == 1 or N == 1:
         return alive
-    cross = np.delete(game.gain2[:, q, :], q, axis=0)
-    virtual_gain = cross.max(axis=0)
-    pooled_budget = float(Q - 1)
-    i_spread = 1.0 + virtual_gain * (pooled_budget * N / (N - 1))
-    gamma_q = float(game.Gamma[q])
-    pmax_q = game.pmax[q]
+    cross = gain2.copy()
+    cross[:, range(Q), range(Q)] = 0.0
+    i_spread = 1.0 + cross.max(axis=1) * (float(Q - 1) * N / (N - 1))
+    gamma, safe = Gamma[..., None], np.where(alive, direct, 1.0)
     # One row per alive bin k: bin k is priced free of the adversary, the
     # other bins at the spread interference, and dead bins never enter.
-    own = np.nonzero(alive)[0]
-    rows = np.arange(own.size)
-    prices = np.full((own.size, N), np.inf)
-    prices[:, alive] = gamma_q * i_spread[alive] / direct[alive]
-    prices[rows, own] = gamma_q / direct[own]
+    g, q, k = np.nonzero(alive)
+    rows = np.arange(k.size)
+    prices = np.where(alive, gamma * i_spread / safe, np.inf)[g, q]
+    prices[rows, k] = (gamma / safe)[g, q, k]
+    caps = pmax[g, q] if np.isfinite(pmax).any() else np.inf  # no (rows, N) copy of inf caps
     try:
-        mu = level_solve(prices, pmax_q, float(N))
+        mu = level_solve(prices, caps, float(N))
     except InfeasibleWaterfillError:
-        # The alive bins cannot absorb the budget, so all of them saturate.
-        return alive & (pmax_q > 1e-12)
-    kept = np.zeros(N, dtype=bool)
-    kept[own] = np.clip(mu - prices[rows, own], 0.0, pmax_q[own]) > 1e-12
-    return kept
+        mu = np.full(k.size, np.nan)
+        for user in np.unique(g * Q + q):
+            mine = g * Q + q == user
+            with suppress(InfeasibleWaterfillError):
+                mu[mine] = level_solve(prices[mine], pmax[g[mine], q[mine]], float(N))
+    kept = np.zeros((G, Q, N), dtype=bool)
+    kept[g, q, k] = np.clip(mu - prices[rows, k], 0.0, pmax[g, q, k]) > 1e-12
+    short = np.zeros((G, Q), dtype=bool)
+    short[g, q] = np.isnan(mu)
+    return np.where(short[..., None], alive & (pmax > 1e-12), kept)
 
 
 def usable_sets(game: NormalizedGame, mode: str = "virtual_interferer") -> np.ndarray:
-    """Stacked per-user bin masks, shape (Q, N)."""
-    return np.stack([usable_carriers(game, q, mode) for q in range(game.Q)])
+    """Per-user masks of the bins a user could populate under some opponent play, (Q, N).
+
+    mode="all" keeps every bin.  mode="virtual_interferer" replaces all
+    opponents of user q by a single adversary holding their pooled budget
+    and, per bin, the strongest cross gain; a bin is dropped only if user q
+    still leaves it empty when the adversary spends everything on the
+    *other* bins (uniformly) and nothing on the bin under test.  Each set
+    therefore contains every bin the true best responses can touch.
+    """
+    return _usable(*_stacked([game]), mode)[0]
+
+
+def _couplings(gain2, direct, Gamma, kept, cols=None) -> np.ndarray:
+    """:func:`coupling_stack` of stacked games, shape (G, N, Q, Q).
+
+    Entry (q, r) of bin k needs q to keep the bin in ``kept`` and r in
+    ``cols`` (default ``kept``).  Each game's block is a strided (N, Q, Q)
+    view laid out as for a game alone, which fixes how its matvecs round.
+    """
+    if (kept & (direct <= 0)).any():
+        raise NumericFailureError("zero direct gain inside a kept bin set (internal invariant)")
+    Q = direct.shape[1]
+    # ratio[g, q, r, k] = gain2[g, r, q, k] / direct[g, q, k]
+    ratio = gain2.transpose(0, 2, 1, 3) / np.where(kept, direct, 1.0)[:, :, None, :]
+    both = kept[:, :, None, :] & (kept if cols is None else cols)[:, None, :, :]
+    H = Gamma[:, :, None, None] * ratio * both
+    H[:, range(Q), range(Q)] = 0.0
+    return H.transpose(0, 3, 1, 2)
 
 
 def coupling_stack(game: NormalizedGame, kept: np.ndarray) -> np.ndarray:
@@ -143,20 +155,11 @@ def coupling_stack(game: NormalizedGame, kept: np.ndarray) -> np.ndarray:
     Entry (q, r) of bin k's matrix is Gamma_q * gain2[r, q, k] /
     gain2[q, q, k] when both users keep bin k, else 0; diagonals are 0.
     """
-    Q, N = game.Q, game.N
     kept = np.asarray(kept, dtype=bool)
-    if kept.shape != (Q, N):
+    if kept.shape != (game.Q, game.N):
         raise InvalidInputError("kept mask must be (Q, N)")
-    direct = game.direct_gain2()
-    if (kept & (direct <= 0)).any():
-        raise NumericFailureError("zero direct gain inside a kept bin set (internal invariant)")
-    safe = np.where(kept, direct, 1.0)
-    # ratio[q, r, k] = gain2[r, q, k] / direct[q, k]
-    ratio = game.gain2.transpose(1, 0, 2) / safe[:, None, :]
-    both = kept[:, None, :] & kept[None, :, :]
-    H = game.Gamma[:, None, None] * ratio * both
-    H[np.arange(Q), np.arange(Q), :] = 0.0
-    return H.transpose(2, 0, 1)
+    gain2, direct, _, Gamma = _stacked([game])
+    return _couplings(gain2, direct, Gamma, kept[None])[0]
 
 
 def _perron_pairs(M: np.ndarray):
@@ -186,15 +189,14 @@ def spectral_radius(M: np.ndarray) -> np.ndarray | float:
     1 by the 1e-9 boundary, the root is recomputed from the balanced
     matrix's eigenvalues, so a root left within the boundary band is
     reported as a boundary case by the verdicts.  A 2-D input returns a
-    float.
+    float.  The stack is used in its given memory layout: a copy would
+    change how the matvec rounds.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise InvalidInputError("matrix must be square")
     if (M < 0).any() or not np.isfinite(M).all():
         raise InvalidInputError("matrix must be nonnegative and finite")
-    shape = M.shape[:-2]
-    M = M.reshape(-1, *M.shape[-2:])
     root, x = _perron_pairs(M)
     # Floored entries sit far below any Perron entry of a coupling stack
     # while keeping their products with the matrix entries normal.
@@ -202,13 +204,12 @@ def spectral_radius(M: np.ndarray) -> np.ndarray | float:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lo = np.where(x > 0, (M @ x[..., None])[..., 0] / x, np.inf).min(axis=-1)
         hi = ((M @ z[..., None])[..., 0] / z).max(axis=-1)
-    rho = np.clip(root, lo, hi)
+    rho = np.array(np.clip(root, lo, hi))
     undecided = ~((hi < 1.0 - _BOUNDARY) | (lo > 1.0 + _BOUNDARY))
-    for k in np.nonzero(undecided)[0]:
+    for k in map(tuple, np.argwhere(undecided)):
         balanced, _ = matrix_balance(M[k])
         rho[k] = np.abs(np.linalg.eigvals(balanced)).max()
-    rho = rho.reshape(shape)
-    return rho if shape else float(rho)
+    return rho if rho.ndim else float(rho)
 
 
 def perron_weights(M: np.ndarray) -> np.ndarray:
@@ -222,39 +223,82 @@ def perron_weights(M: np.ndarray) -> np.ndarray:
     return np.maximum(x, 1e-9)
 
 
-def is_Z(M: np.ndarray) -> bool:
-    """Off-diagonal entries all nonpositive."""
-    M = np.asarray(M, dtype=np.float64)
-    off = M.copy()
-    np.fill_diagonal(off, 0.0)
-    return bool((off <= 0).all())
+def _verdict_less_than_one(name: str, margin, detail) -> ConditionVerdict:
+    """Verdict of a margin that must stay below 1; ``margin`` may be the error that left it unknown."""
+    if isinstance(margin, NumericFailureError):
+        return ConditionVerdict(name, None, np.nan, 1.0, {}, error=str(margin))
+    sat = None if abs(margin - 1.0) <= _BOUNDARY else bool(margin < 1.0)
+    return ConditionVerdict(name=name, satisfied=sat, margin=float(margin), threshold=1.0,
+                            detail=detail)
 
 
-def is_P(M: np.ndarray) -> bool:
-    """All principal minors positive (exhaustive; dim <= 12)."""
-    M = np.asarray(M, dtype=np.float64)
-    n = M.shape[0]
-    if n > 12:
-        raise InvalidInputError("principal-minor enumeration is limited to dim <= 12")
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            sub = M[np.ix_(subset, subset)]
-            if np.linalg.det(sub) <= 0:
-                return False
-    return True
+def _stacked(games) -> tuple:
+    """(gain2, direct gains, pmax, Gamma) of games sharing (Q, N), stacked on a leading axis."""
+    if len({(game.Q, game.N) for game in games}) != 1:
+        raise InvalidInputError("a stack needs at least one game, all of the same (Q, N)")
+    fields = [(game.gain2, game.direct_gain2(), game.pmax, game.Gamma) for game in games]
+    return tuple(np.stack(field) for field in zip(*fields))
 
 
-def is_K(M: np.ndarray) -> bool:
-    """Z-matrix with all principal minors positive."""
-    return is_Z(M) and is_P(M)
+def _radii(H: np.ndarray) -> list:
+    """Spectral radii of each game's matrices, or the NumericFailureError of its eigen-solve.
+
+    One solve serves the whole stack; only if it fails are the games solved
+    one by one, so one failing game leaves the others' radii intact.
+    """
+    try:
+        return list(spectral_radius(H))
+    except NumericFailureError as err:
+        return [err] if len(H) == 1 else [r for g in range(len(H)) for r in _radii(H[g:g + 1])]
 
 
-def _verdict_less_than_one(name: str, margin: float, detail: dict) -> ConditionVerdict:
-    if abs(margin - 1.0) <= _BOUNDARY:
-        sat = None
-    else:
-        sat = bool(margin < 1.0)
-    return ConditionVerdict(name=name, satisfied=sat, margin=margin, threshold=1.0, detail=detail)
+def check_stack(games, Dq_mode: str = "virtual_interferer") -> list:
+    """:func:`check_conditions` of every game in a sequence, certified as one stack.
+
+    The games must share (Q, N).  The usable sets of all users of all games
+    come from one level solve, the coupling matrices form one (G, N, Q, Q)
+    stack, C1 and C2 take one eigen-solve each and C3-C7 are evaluated for
+    all games at once.  Report g equals ``check_conditions(games[g])``.
+    """
+    gain2, direct, pmax, Gamma = _stacked(list(games))
+    G, Q, N = direct.shape
+    kept = _usable(gain2, direct, pmax, Gamma, Dq_mode)
+    Hk = _couplings(gain2, direct, Gamma, kept)
+    Hmax = Hk.max(axis=1)
+    weights = {"unit": np.ones((G, Q)), "perron": perron_weights(Hmax)}
+    sums = {(name, label): (np.einsum(spec, Hk, w) / w[:, None, :]).max(axis=(1, 2))
+            for label, w in weights.items()
+            for name, spec in (("C3", "gkqr,gr->gkq"), ("C4", "gkqr,gq->gkr"))}
+    # C5-C7 ignore bin pruning.  The strongest coupling into user q runs
+    # over q's alive bins whatever the interferer's gain there; C7 keeps
+    # the bins both users can use.
+    alive = direct > 0
+    into_alive = _couplings(gain2, direct, Gamma, alive, np.ones_like(alive))
+    strongest = into_alive.max(axis=(1, 2, 3))
+    H7 = into_alive * alive.transpose(0, 2, 1)[:, :, None, :]
+    eigmins = np.linalg.eigvalsh(np.eye(Q) + 0.5 * (H7 + H7.swapaxes(-1, -2)))[..., 0]
+
+    reports = []
+    for g, rho_k, rho_max in zip(range(G), _radii(Hk), _radii(Hmax)):
+        failed = isinstance(rho_k, NumericFailureError)
+        s, m7 = float(strongest[g]), float(eigmins[g].min())
+        verdicts = [
+            _verdict_less_than_one("C1", rho_k if failed else rho_k.max(), {} if failed else {
+                "rho_per_bin": rho_k, "argmax_bin": int(rho_k.argmax())}),
+            _verdict_less_than_one("C2", rho_max, {}),
+        ]
+        for name in ("C3", "C4"):  # the better weighting wins; unit weights on a tie
+            best = "perron" if sums[name, "perron"][g] < sums[name, "unit"][g] else "unit"
+            verdicts.append(_verdict_less_than_one(name, sums[name, best][g], {
+                "weights": weights[best][g], "weighting": best,
+                "unit_margin": float(sums[name, "unit"][g])}))
+        for name, n in (("C5", Q - 1), ("C6", max(2 * Q - 3, 0))):
+            verdicts.append(_verdict_less_than_one(
+                name, s * n, {"strongest_pair": s, "threshold_raw": 1.0 / max(n, 1)}))
+        verdicts.append(ConditionVerdict("C7", None if abs(m7) <= _BOUNDARY else bool(m7 > 0), m7,
+                                         0.0, {"argmin_bin": int(eigmins[g].argmin())}))
+        reports.append(UniquenessReport({v.name: v for v in verdicts}, Dq_mode, kept[g]))
+    return reports
 
 
 def check_conditions(
@@ -271,75 +315,4 @@ def check_conditions(
     C7: I + H(k) positive definite for every bin, tested through the
         symmetric part, with no bin pruning.
     """
-    Q, N = game.Q, game.N
-    kept = usable_sets(game, Dq_mode)
-    Hk = coupling_stack(game, kept)
-    try:
-        rho_k = spectral_radius(Hk)
-        c1 = _verdict_less_than_one(
-            "C1", float(rho_k.max()), {"rho_per_bin": rho_k, "argmax_bin": int(rho_k.argmax())}
-        )
-    except NumericFailureError as err:
-        c1 = ConditionVerdict("C1", None, np.nan, 1.0, {}, error=str(err))
-
-    Hmax = Hk.max(axis=0)
-    try:
-        c2 = _verdict_less_than_one("C2", spectral_radius(Hmax), {})
-    except NumericFailureError as err:
-        c2 = ConditionVerdict("C2", None, np.nan, 1.0, {}, error=str(err))
-
-    w_unit = np.ones(Q)
-    w_perron = perron_weights(Hmax)
-    row_margins = {}
-    col_margins = {}
-    for label, w in (("unit", w_unit), ("perron", w_perron)):
-        rows = np.einsum("kqr,r->kq", Hk, w) / w
-        cols = np.einsum("kqr,q->kr", Hk, w) / w
-        row_margins[label] = float(rows.max()) if rows.size else 0.0
-        col_margins[label] = float(cols.max()) if cols.size else 0.0
-    best_row = min(row_margins, key=row_margins.get)
-    best_col = min(col_margins, key=col_margins.get)
-    c3 = _verdict_less_than_one(
-        "C3",
-        row_margins[best_row],
-        {"weights": w_perron if best_row == "perron" else w_unit, "weighting": best_row,
-         "unit_margin": row_margins["unit"]},
-    )
-    c4 = _verdict_less_than_one(
-        "C4",
-        col_margins[best_col],
-        {"weights": w_perron if best_col == "perron" else w_unit, "weighting": best_col,
-         "unit_margin": col_margins["unit"]},
-    )
-
-    # Pairwise conditions ignore bin pruning; guard exact zero direct gains.
-    direct = game.direct_gain2()
-    alive = direct > 0
-    pair_max = np.zeros((Q, Q))
-    for q in range(Q):
-        for r in range(Q):
-            if r == q or not alive[q].any():
-                continue
-            ratios = game.gain2[r, q, alive[q]] / direct[q, alive[q]]
-            pair_max[q, r] = game.Gamma[q] * float(ratios.max())
-    strongest = float(pair_max.max())
-    c5 = _verdict_less_than_one(
-        "C5", strongest * (Q - 1), {"strongest_pair": strongest, "threshold_raw": 1.0 / max(Q - 1, 1)}
-    )
-    c6 = _verdict_less_than_one(
-        "C6",
-        strongest * (2 * Q - 3) if Q >= 2 else 0.0,
-        {"strongest_pair": strongest, "threshold_raw": 1.0 / max(2 * Q - 3, 1)},
-    )
-
-    kept_all = np.ones((Q, N), dtype=bool) & alive
-    H7 = coupling_stack(game, kept_all)
-    eigmins = np.linalg.eigvalsh(np.eye(Q) + 0.5 * (H7 + H7.transpose(0, 2, 1)))[:, 0]
-    m7 = float(eigmins.min())
-    sat7 = None if abs(m7) <= _BOUNDARY else bool(m7 > 0)
-    c7 = ConditionVerdict(
-        name="C7", satisfied=sat7, margin=m7, threshold=0.0, detail={"argmin_bin": int(eigmins.argmin())}
-    )
-
-    conditions = {v.name: v for v in (c1, c2, c3, c4, c5, c6, c7)}
-    return UniquenessReport(conditions=conditions, Dq_mode=Dq_mode, usable=kept)
+    return check_stack([game], Dq_mode)[0]

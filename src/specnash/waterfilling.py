@@ -131,7 +131,9 @@ def _pick(a: np.ndarray, idx) -> np.ndarray:
 def _cummean_level(prices: np.ndarray, target: np.ndarray):
     """Levels of rows with no finite cap: the sorted cumulative-mean solve."""
     c = np.sort(prices, axis=-1)
-    candidates = (target[..., None] + c.cumsum(-1)) / _counts(c.shape[-1])
+    candidates = c.cumsum(-1)  # (target + cumsum) / count, in place: no stack-sized temporaries
+    candidates += target[..., None]
+    candidates /= _counts(c.shape[-1])
     # Largest active set whose level still clears its worst price; the
     # cheapest bin always enters at a positive target.
     clears = candidates > c

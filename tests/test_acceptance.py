@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from conftest import random_c1_game
+from matrix_classes import is_K
 from ne_oracle import brute_force_ne
 from specnash import (
     ChannelSet,
@@ -43,7 +44,7 @@ from specnash.pareto import (
     solve_modified_game,
     solve_scalarized,
 )
-from specnash.uniqueness import check_conditions, is_K, spectral_radius
+from specnash.uniqueness import check_conditions, spectral_radius
 
 
 def verdict(num: int, label: str, ok: bool, detail: str = "") -> None:

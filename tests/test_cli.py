@@ -130,6 +130,43 @@ class TestUniquenessMc:
         assert meta["trials"] == 12
         assert meta["csv_schema_version"] == 1
 
+    @pytest.mark.parametrize("change,named", [
+        ({"trial": 3}, "trial"),
+        ({"conditions": ["C9"]}, "C9"),
+        ({"conditions": []}, "conditions"),
+        ({"d_ratio_sweep": []}, "d_ratio_sweep"),
+        ({"Dq_modes": []}, "Dq_modes"),
+        ({"Dq_modes": ["psychic"]}, "psychic"),
+    ])
+    def test_bad_config_exit_code(self, tmp_path, monkeypatch, capsys, change, named):
+        # Each exited 0 before: "trial" ran the default 500 trials, and the
+        # others wrote a header-only CSV.
+        import specnash.experiments as experiments_mod
+
+        def no_channel(*args, **kwargs):
+            raise AssertionError("config rejected only after building a channel")
+
+        monkeypatch.setattr(experiments_mod, "scenario_from_config", no_channel)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(MC_CFG | change))
+        out = tmp_path / "mc.csv"
+        assert main(["montecarlo", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_accepted_keys(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        cfg = MC_CFG | {"out": str(out), "trials": 2, "Dq_modes": ["all"], "conditions": ["C2"]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["montecarlo", "--config", str(cfg_path)]) == 0
+        rows = read_csv(out)
+        assert [(r["d_ratio"], r["condition"], r["Dq_mode"]) for r in rows] == [
+            (repr(r), "C2", "all") for r in MC_CFG["d_ratio_sweep"]
+        ]
+        assert json.loads((tmp_path / "mc.csv.meta.json").read_text())["config"] == cfg
+
 
 class TestPsd:
     def test_rows_and_meta(self, tmp_path):

@@ -5,21 +5,21 @@ from hypothesis.extra.numpy import arrays
 
 import specnash.uniqueness as uniqueness
 from conftest import flat_game
+from matrix_classes import is_K, is_P, is_Z
 from perron_oracle import oracle_spectral_radius
-from specnash import InvalidInputError, UNBOUNDED, build_game, ratio_scenario
-from specnash.channel import NormalizedGame
+from specnash import InvalidInputError, NumericFailureError, UNBOUNDED, build_game, ratio_scenario
+from specnash.channel import NormalizedGame, distance_sweep, ratio_distances
 from specnash.uniqueness import (
     CONDITION_NAMES,
+    DQ_MODES,
     check_conditions,
+    check_stack,
     coupling_stack,
-    is_K,
-    is_P,
-    is_Z,
     perron_weights,
     spectral_radius,
-    usable_carriers,
     usable_sets,
 )
+from uniqueness_oracle import oracle_check_conditions
 
 
 def char_poly_radius(M):
@@ -162,13 +162,13 @@ class TestMatrixClasses:
 class TestUsableCarriers:
     def test_mode_all(self):
         game = flat_game(Q=2, coupling=0.5, N=4)
-        np.testing.assert_array_equal(usable_carriers(game, 0, "all"), np.ones(4, bool))
+        np.testing.assert_array_equal(usable_sets(game, "all")[0], np.ones(4, bool))
 
     def test_single_user_keeps_alive_bins(self):
         gain2 = np.array([[[1.0, 0.0, 2.0]]])
         game = NormalizedGame(gain2=gain2, pmax=np.full((1, 3), UNBOUNDED), Gamma=np.ones(1))
         np.testing.assert_array_equal(
-            usable_carriers(game, 0, "virtual_interferer"), [True, False, True]
+            usable_sets(game, "virtual_interferer")[0], [True, False, True]
         )
 
     def test_zero_gain_excluded_in_virtual_mode(self):
@@ -177,7 +177,7 @@ class TestUsableCarriers:
         gain2[1, 1] = [1.0, 1.0, 1.0]
         gain2[0, 1] = gain2[1, 0] = np.full(3, 0.1)
         game = NormalizedGame(gain2=gain2, pmax=np.full((2, 3), UNBOUNDED), Gamma=np.ones(2))
-        kept = usable_carriers(game, 0, "virtual_interferer")
+        kept = usable_sets(game, "virtual_interferer")[0]
         assert not kept[1]
 
     def test_pruned_set_contains_clean_waterfill_support(self):
@@ -204,7 +204,7 @@ class TestUsableCarriers:
     def test_unknown_mode(self):
         game = flat_game()
         with pytest.raises(InvalidInputError):
-            usable_carriers(game, 0, "psychic")
+            usable_sets(game, "psychic")[0]
 
     @staticmethod
     def per_bin_mask(game, q):
@@ -232,7 +232,7 @@ class TestUsableCarriers:
                                     channel_order=6)
                 game = build_game(ch)
                 for q in range(game.Q):
-                    kept = usable_carriers(game, q)
+                    kept = usable_sets(game)[q]
                     np.testing.assert_array_equal(kept, self.per_bin_mask(game, q))
                     pruned += int((~kept).sum())
         assert pruned > 0
@@ -251,7 +251,7 @@ class TestUsableCarriers:
             pmax[rng.random((Q, N)) < 0.3 * (trial % 2)] = UNBOUNDED
             game = NormalizedGame(gain2=gain2, pmax=pmax, Gamma=np.full(Q, 1.5))
             for q in range(Q):
-                np.testing.assert_array_equal(usable_carriers(game, q), self.per_bin_mask(game, q))
+                np.testing.assert_array_equal(usable_sets(game)[q], self.per_bin_mask(game, q))
 
 
 class TestCouplingMatrices:
@@ -414,3 +414,96 @@ class TestCertificateLatticeProperty:
         oracle = oracle_c1_verdict(game)
         if oracle is not None:
             assert report["C1"].satisfied is oracle
+
+
+def report_text(report) -> str:
+    """Every verdict, margin, detail field and usable mask; floats as exact reprs."""
+    import json
+
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+def oracle_text(game, mode) -> str:
+    try:
+        return report_text(oracle_check_conditions(game, mode))
+    except (InvalidInputError, NumericFailureError) as err:
+        return type(err).__name__
+
+
+@st.composite
+def edge_stacks(draw):
+    """Up to four games sharing (Q, N), with the cases the stack must not blur.
+
+    Zero direct gains on some bins, finite masks (some too tight to absorb
+    the budget), Q = 1 and N = 1 all occur.
+    """
+    Q = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 12))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        gain2 = 10.0 ** draw(arrays(np.float64, (Q, Q, N), elements=st.floats(-4.0, 4.0)))
+        dead = draw(arrays(np.bool_, (Q, N), elements=st.booleans()))
+        gain2[np.arange(Q), np.arange(Q)] *= ~dead
+        caps = draw(arrays(np.float64, (Q, N), elements=st.floats(0.0, 3.0)))
+        uncapped = draw(arrays(np.bool_, (Q, N), elements=st.booleans()))
+        pmax = np.where(uncapped, UNBOUNDED, caps)
+        Gamma = draw(arrays(np.float64, Q, elements=st.floats(1.0, 4.0)))
+        stack.append(NormalizedGame(gain2=gain2, pmax=pmax, Gamma=Gamma))
+    return stack
+
+
+class TestStackAgainstOracle:
+    """The stacked certification is bit-equal to the per-game oracle."""
+
+    def test_fig1_games(self):
+        # 120 Fig. 1 trials x 4 distance ratios, built the way the Monte Carlo
+        # builds them (one tap draw per trial) and, for the oracle, one game
+        # per ratio as before.
+        ratios = (1.0, 2.0, 4.0, 8.0)
+        scen = dict(gamma=2.5, snr_db=-10.0, channel_order=6)
+        for trial in range(120):
+            ch = ratio_scenario(5, 64, seed=(0, trial), d_ratio=ratios[0], **scen)
+            games = distance_sweep(ch, [ratio_distances(5, r) for r in ratios])
+            modes = DQ_MODES if trial < 20 else ("virtual_interferer",)
+            for mode in modes:
+                for r, report in zip(ratios, check_stack(games, mode)):
+                    alone = build_game(ratio_scenario(5, 64, seed=(0, trial), d_ratio=r, **scen))
+                    assert report_text(report) == oracle_text(alone, mode), (trial, r, mode)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(stack=edge_stacks(), mode=st.sampled_from(DQ_MODES))
+    def test_edge_games(self, stack, mode):
+        expected = [oracle_text(game, mode) for game in stack]
+        failed = [text for text in expected if not text.startswith("{")]
+        if failed:
+            # One game whose bins cannot be certified fails the whole stack.
+            with pytest.raises((InvalidInputError, NumericFailureError)) as err:
+                check_stack(stack, mode)
+            assert type(err.value).__name__ in failed
+            return
+        assert [report_text(r) for r in check_stack(stack, mode)] == expected
+        assert [report_text(check_conditions(game, mode)) for game in stack] == expected
+
+    def test_eigen_failure_stays_with_its_game(self, monkeypatch):
+        games = [flat_game(Q=3, coupling=0.25, N=4), flat_game(Q=3, coupling=0.75, N=4)]
+        expected = [check_conditions(game).to_dict() for game in games]
+        solve = uniqueness.spectral_radius
+
+        def failing(M):
+            if (np.asarray(M) == 0.75).any():
+                raise NumericFailureError("eigen-solve failed")
+            return solve(M)
+
+        monkeypatch.setattr(uniqueness, "spectral_radius", failing)
+        good, bad = check_stack(games)
+        assert good.to_dict() == expected[0]
+        for name in ("C1", "C2"):
+            assert bad[name].satisfied is None and bad[name].error == "eigen-solve failed"
+        for name in CONDITION_NAMES[2:]:
+            assert bad[name].to_dict() == expected[1]["conditions"][name]
+
+    def test_rejects_empty_and_mixed_stacks(self):
+        with pytest.raises(InvalidInputError):
+            check_stack([])
+        with pytest.raises(InvalidInputError):
+            check_stack([flat_game(Q=2, N=2), flat_game(Q=2, N=3)])
