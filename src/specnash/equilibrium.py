@@ -77,7 +77,6 @@ def solve(
     tol: float = 1e-8,
     max_iter: int = 1000,
     order_seed: int | None = None,
-    classify_eps: float = 1e-6,
 ) -> EquilibriumResult:
     """Iterate the waterfilling map to a fixed point.
 
@@ -139,7 +138,7 @@ def solve(
         iterations=iterations,
         schedule=schedule,
         converged=converged,
-        classification=classify_profile(p, game, eps=classify_eps) if converged else None,
+        classification=classify_profile(p, game) if converged else None,
         trace=np.asarray(trace),
     )
 
@@ -167,15 +166,6 @@ def classify_profile(p: np.ndarray, game: NormalizedGame, eps: float = 1e-6) -> 
     )
 
 
-def classify_equilibrium(
-    res: EquilibriumResult, game: NormalizedGame, eps: float = 1e-6
-) -> Classification:
-    """Classify a converged equilibrium result."""
-    if not res.converged:
-        raise InvalidInputError("classification requires a converged result")
-    return classify_profile(res.profile.p, game, eps=eps)
-
-
 @dataclass(frozen=True)
 class AllocationRuleCheck:
     """Pairwise verdicts of the orthogonal-NE bin-assignment ordering."""
@@ -188,8 +178,6 @@ class AllocationRuleCheck:
 def check_allocation_rule(
     res: EquilibriumResult | PowerProfile | np.ndarray,
     game: NormalizedGame,
-    eps: float = 1e-6,
-    rtol: float = 1e-12,
 ) -> AllocationRuleCheck:
     """Verify the bin-assignment ordering at an orthogonal equilibrium.
 
@@ -212,7 +200,7 @@ def check_allocation_rule(
         p = res.p
     else:
         p = np.asarray(res, dtype=np.float64)
-    cls = classify_profile(p, game, eps=eps)
+    cls = classify_profile(p, game)
     if not cls.orthogonal:
         raise InvalidInputError("allocation rule applies to orthogonal equilibria only")
 
@@ -246,7 +234,7 @@ def check_allocation_rule(
                 continue
             ratio_r = direct[r, kr] / direct[q, kr]
             ratio_q = direct[r, kq] / direct[q, kq]
-            ok = ratio_r.min() >= ratio_q.max() * (1.0 - rtol)
+            ok = ratio_r.min() >= ratio_q.max() * (1.0 - 1e-12)
             pairs[(r, q)] = bool(ok)
             if not ok:
                 i_bad = int(kr[np.argmin(ratio_r)])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from multiprocessing import Pool
 
@@ -27,7 +28,8 @@ from .channel import (ChannelSet, UNBOUNDED, build_game, distance_sweep, ratio_d
 from .equilibrium import classify_profile, check_allocation_rule, solve
 from .errors import InvalidInputError
 from .matrix_oracle import verify_diagonal_optimality
-from .pareto import rate_array, sample_rate_region, solve_modified_game, solve_scalarized
+from .pareto import (rate_array, sample_rate_region, solve_modified_game, solve_scalarized,
+                     total_split_rates)
 from .uniqueness import CONDITION_NAMES, DQ_MODES, check_conditions, check_stack
 
 CSV_SCHEMA_VERSION = 1
@@ -81,6 +83,25 @@ def _reject_unknown(what: str, given, known) -> None:
     unknown = ", ".join(sorted(str(v) for v in given if v not in known))
     if unknown:
         raise InvalidInputError(f"unknown {what}: {unknown}")
+
+
+# Config values by JSON type; an integer passes where a number is read.
+_KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
+          bool: (bool, "boolean"), str: (str, "string"), list: (list, "array"),
+          dict: (dict, "object")}
+
+
+def _setting(cfg: dict, key: str, default, kind, entries=None):
+    """``cfg[key]`` (``default`` when absent) if it is a ``kind``, each entry an
+    ``entries`` for a list; else rejected by key, not left to fail deeper in."""
+    def fits(v, k):
+        return isinstance(v, _KINDS[k][0]) and (k is bool or not isinstance(v, bool))
+
+    value = cfg.get(key, default)
+    if not (fits(value, kind) and (entries is None or all(fits(v, entries) for v in value))):
+        what = _KINDS[kind][1] + (f" of {_KINDS[entries][1]}s" if entries else "")
+        raise InvalidInputError(f"config key {key!r} must be a JSON {what}, got {value!r}")
+    return value
 
 
 def _fmt(x) -> str:
@@ -148,17 +169,18 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     ``workers`` is capped at the CPU count.
     """
     _reject_unknown("uniqueness_mc config keys", cfg, _MC_KEYS)
-    scen = cfg["scenario"]
-    root_seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 500))
+    scen = _setting(cfg, "scenario", None, dict)
+    root_seed = int(_setting(cfg, "seed", 0, int))
+    trials = int(_setting(cfg, "trials", 500, int))
     if trials < 1:
         raise InvalidInputError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    ratios = [float(r) for r in cfg.get("d_ratio_sweep", [scen.get("d_ratio", 2.0)])]
-    modes = list(cfg.get("Dq_modes", DQ_MODES))
-    conditions = list(cfg.get("conditions", CONDITION_NAMES))
+    ratios = [float(r) for r in
+              _setting(cfg, "d_ratio_sweep", [scen.get("d_ratio", 2.0)], list, float)]
+    modes = _setting(cfg, "Dq_modes", list(DQ_MODES), list, str)
+    conditions = _setting(cfg, "conditions", list(CONDITION_NAMES), list, str)
     if not (ratios and modes and conditions):
         raise InvalidInputError("d_ratio_sweep, Dq_modes and conditions must each name an entry")
     _reject_unknown(f"Dq_modes (expected {', '.join(DQ_MODES)})", modes, DQ_MODES)
@@ -201,10 +223,18 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # uniqueness conditions of one scenario
 
+_CHECK_KEYS = {"kind", "out", "seed", "scenario", "Dq_mode"}
+
+
 def run_check_uniqueness(cfg: dict, out_path: str) -> dict:
-    """Evaluate the seven uniqueness conditions and emit the JSON report."""
-    ch = scenario_from_config(cfg["scenario"], seed=(int(cfg.get("seed", 0)),))
-    report = check_conditions(build_game(ch), Dq_mode=cfg.get("Dq_mode", "virtual_interferer"))
+    """Evaluate the seven uniqueness conditions and emit the JSON report;
+    an unknown config key or Dq mode is rejected before any channel is built."""
+    _reject_unknown("check_uniqueness config keys", cfg, _CHECK_KEYS)
+    root_seed = int(_setting(cfg, "seed", 0, int))
+    Dq_mode = _setting(cfg, "Dq_mode", "virtual_interferer", str)
+    _reject_unknown(f"Dq_mode (expected {', '.join(DQ_MODES)})", [Dq_mode], DQ_MODES)
+    ch = scenario_from_config(_setting(cfg, "scenario", None, dict), seed=(root_seed,))
+    report = check_conditions(build_game(ch), Dq_mode=Dq_mode)
     payload = report.to_dict()
     _write_json(out_path, payload)
     return payload
@@ -223,20 +253,17 @@ def run_psd(cfg: dict, out_path: str) -> dict:
     Rejects a config or ``solver`` key it does not read before any channel
     is built.
     """
-    solver = cfg.get("solver", {})
-    if not isinstance(solver, dict):
-        raise InvalidInputError("psd solver must be an object of schedule, tol, max_iter")
+    solver = _setting(cfg, "solver", {}, dict)
     _reject_unknown("psd config keys", cfg, _PSD_KEYS)
     _reject_unknown("psd solver keys", solver, _SOLVER_KEYS)
-    root_seed = int(cfg.get("seed", 0))
-    ch = scenario_from_config(cfg["scenario"], seed=(root_seed,))
+    root_seed = int(_setting(cfg, "seed", 0, int))
+    check_rule = _setting(cfg, "check_rule", False, bool)
+    schedule = _setting(solver, "schedule", "sequential", str)
+    tol = float(_setting(solver, "tol", 1e-8, float))
+    max_iter = int(_setting(solver, "max_iter", 2000, int))
+    ch = scenario_from_config(_setting(cfg, "scenario", None, dict), seed=(root_seed,))
     game = build_game(ch)
-    res = solve(
-        game,
-        schedule=solver.get("schedule", "sequential"),
-        tol=float(solver.get("tol", 1e-8)),
-        max_iter=int(solver.get("max_iter", 2000)),
-    )
+    res = solve(game, schedule=schedule, tol=tol, max_iter=max_iter)
     rows = []
     for q in range(game.Q):
         for k in range(game.N):
@@ -258,7 +285,7 @@ def run_psd(cfg: dict, out_path: str) -> dict:
         "flatness": cls.flatness.tolist(),
         "exclusive": [(idx + 1).tolist() for idx in cls.exclusive],
     }
-    if cfg.get("check_rule", False) and cls.orthogonal:
+    if check_rule and cls.orthogonal:
         try:
             rule = check_allocation_rule(res, game)
             meta["allocation_rule"] = {
@@ -279,6 +306,12 @@ def _lambda_label(lam) -> str:
     return ":".join(_fmt(v) for v in lam)
 
 
+_REGION_KEYS = {"kind", "out", "seed", "scenario", "mode"}
+_REGION_MODE_KEYS = {"symmetric": {"resolution", "lambda_sweep", "mg_tol", "splits"},
+                     "asymmetric": {"seeds", "restarts", "d12_over_d21", "d_cross_geomean"},
+                     "channel_order": {"orders", "seeds"}}
+
+
 def run_rate_region(cfg: dict, out_path: str) -> dict:
     """Equilibria against the cooperative frontier.
 
@@ -288,42 +321,47 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
     mode="asymmetric": seeds x one asymmetric geometry; emits equilibrium
     and best weighted-sum rates per seed (sum-rate loss in the sidecar).
     mode="channel_order": average equilibrium rates per channel order.
+    Rejects an unknown mode and a key its mode does not read before any
+    channel is built.
     """
-    mode = cfg.get("mode", "symmetric")
-    root_seed = int(cfg.get("seed", 0))
-    scen = cfg["scenario"]
+    mode = _setting(cfg, "mode", "symmetric", str)
+    _reject_unknown("rate_region mode", [mode], _REGION_MODE_KEYS)
+    _reject_unknown(f"rate_region {mode} config keys", cfg, _REGION_KEYS | _REGION_MODE_KEYS[mode])
+    root_seed = int(_setting(cfg, "seed", 0, int))
+    scen = _setting(cfg, "scenario", None, dict)
     rows = []
     meta: dict = {"kind": "rate_region", "mode": mode, "config": cfg}
     Q_out = int(scen["Q"]) if "Q" in scen else None
 
     if mode == "symmetric":
+        resolution = int(_setting(cfg, "resolution", 16, int))
+        lam_sweep = _setting(cfg, "lambda_sweep", [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]], list)
+        mg_tol = float(_setting(cfg, "mg_tol", 1e-6, float))
+        splits = np.linspace(0.15, 0.85, int(_setting(cfg, "splits", 8, int)))
         ch = scenario_from_config(scen, seed=(root_seed,))
         game = build_game(ch)
-        Q = Q_out = game.Q
-        region = sample_rate_region(game, resolution=int(cfg.get("resolution", 16)))
+        Q_out = game.Q
+        region = sample_rate_region(game, resolution)
         for pt in region.points[region.pareto]:
             rows.append(["grid_pareto", ""] + [_fmt(v) for v in pt])
         ne = solve(game, tol=1e-9)
         ne_rates = rate_array(ne.profile.p, game)
         rows.append(["ne", ""] + [_fmt(v) for v in ne_rates])
-        lam_sweep = cfg.get("lambda_sweep", [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])
         for lam in lam_sweep:
-            mg = solve_modified_game(game, lam, tol=float(cfg.get("mg_tol", 1e-6)))
+            mg = solve_modified_game(game, lam, tol=mg_tol)
             rows.append(["modified_game", _lambda_label(lam)] + [_fmt(v) for v in mg.rates])
-        splits = np.linspace(0.15, 0.85, int(cfg.get("splits", 8)))
-        sweep = sample_rate_region(game, budget_mode="total_split", splits=splits)
-        for t, pt in zip(splits, sweep.points):
+        for t, pt in zip(splits, total_split_rates(game, splits)):
             rows.append(["ne_total_split", _fmt(t)] + [_fmt(v) for v in pt])
         meta["ne_rates"] = ne_rates.tolist()
         meta["ne_converged"] = ne.converged
         meta["pareto_count"] = int(region.pareto.sum())
     elif mode == "asymmetric":
-        seeds = int(cfg.get("seeds", 20))
-        Q = int(scen["Q"])
-        if Q != 2:
+        seeds = int(_setting(cfg, "seeds", 20, int))
+        restarts = int(_setting(cfg, "restarts", 8, int))
+        ratio = float(_setting(cfg, "d12_over_d21", 0.2, float))
+        geo = float(_setting(cfg, "d_cross_geomean", 2.0, float))
+        if int(scen["Q"]) != 2:
             raise InvalidInputError("asymmetric mode is two-user")
-        ratio = float(cfg.get("d12_over_d21", 0.2))
-        geo = float(cfg.get("d_cross_geomean", 2.0))
         d = np.ones((2, 2))
         d[0, 1] = geo * np.sqrt(ratio)
         d[1, 0] = geo / np.sqrt(ratio)
@@ -335,13 +373,8 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
             game = build_game(ch)
             ne = solve(game, tol=1e-9)
             ne_rates = rate_array(ne.profile.p, game)
-            sc_res = solve_scalarized(
-                game,
-                np.ones(2),
-                restarts=int(cfg.get("restarts", 8)),
-                seed=root_seed + s,
-                tol=1e-9,
-            )
+            sc_res = solve_scalarized(game, np.ones(2), restarts=restarts, seed=root_seed + s,
+                                      tol=1e-9)
             opt_rates = rate_array(sc_res.profile.p, game)
             loss = 1.0 - ne_rates.sum() / max(sc_res.value, 1e-300)
             losses.append(loss)
@@ -349,9 +382,9 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
             rows.append(["scalarized", str(s)] + [_fmt(v) for v in opt_rates])
         meta["sum_rate_loss"] = losses
         meta["max_loss"] = max(losses)
-    elif mode == "channel_order":
-        orders = [int(v) for v in cfg.get("orders", [0, 4, 8])]
-        seeds = int(cfg.get("seeds", 100))
+    else:
+        orders = [int(v) for v in _setting(cfg, "orders", [0, 4, 8], list, int)]
+        seeds = int(_setting(cfg, "seeds", 100, int))
         Q = int(scen["Q"])
         means = {}
         for L in orders:
@@ -366,8 +399,6 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
             means[L] = acc / seeds
             rows.append(["ne_mean_order", str(L)] + [_fmt(v) for v in means[L]])
         meta["order_means"] = {str(L): v.tolist() for L, v in means.items()}
-    else:
-        raise InvalidInputError(f"unknown rate_region mode {mode!r}")
 
     header = ["provenance", "label"] + [f"r{q + 1}" for q in range(Q_out)]
     _write_csv(out_path, header, rows)
@@ -390,12 +421,12 @@ def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
     empty payoff list and an unknown payoff name before any channel is built.
     """
     _reject_unknown("verify_theorem1 config keys", cfg, _THEOREM1_KEYS)
-    root_seed = int(cfg.get("seed", 0))
-    instances = int(cfg.get("instances", 10))
-    samples = int(cfg.get("samples", 200))
-    payoffs = list(cfg.get("payoffs", _PAYOFFS))
-    gap_gamma = float(cfg.get("gap_Gamma", 3.0))
-    scen = cfg["scenario"]
+    root_seed = int(_setting(cfg, "seed", 0, int))
+    instances = int(_setting(cfg, "instances", 10, int))
+    samples = int(_setting(cfg, "samples", 200, int))
+    payoffs = _setting(cfg, "payoffs", list(_PAYOFFS), list, str)
+    gap_gamma = float(_setting(cfg, "gap_Gamma", 3.0, float))
+    scen = _setting(cfg, "scenario", None, dict)
     if instances < 1:
         raise InvalidInputError(f"instances must be >= 1, got {instances}")
     if not payoffs:

@@ -65,11 +65,10 @@ def circulant_links(ch: ChannelSet) -> LinkMatrices:
     return LinkMatrices(H=H, sigma2=ch.sigma2.copy())
 
 
-def precoder_from_profile(p_q: np.ndarray, P_q: float, N: int | None = None) -> np.ndarray:
+def precoder_from_profile(p_q: np.ndarray, P_q: float) -> np.ndarray:
     """Diagonal-in-frequency precoder carrying the normalized profile p_q."""
     p_q = np.asarray(p_q, dtype=np.float64)
-    N = p_q.size if N is None else N
-    W = fourier_matrix(N)
+    W = fourier_matrix(p_q.size)
     return W * np.sqrt(P_q * p_q)[None, :]
 
 
@@ -122,13 +121,13 @@ def _whitened_channel(q: int, F: np.ndarray, links: LinkMatrices, R: np.ndarray)
     return HF, RinvHF, _hermitian(HF) @ RinvHF
 
 
-def _log_det_rate(M: np.ndarray, base: float) -> np.ndarray:
-    """(1/N) log det(I + M) over (..., N, N)."""
+def _log_det_rate(M: np.ndarray) -> np.ndarray:
+    """(1/N) log2 det(I + M) over (..., N, N)."""
     N = M.shape[-1]
     sign, logdet = np.linalg.slogdet(np.eye(N) + M)
     if (sign.real <= 0).any() or not np.isfinite(logdet).all():
         raise NumericFailureError("log-det of the mutual-information form failed")
-    return logdet / (N * np.log(base))
+    return logdet / (N * np.log(2.0))
 
 
 def _mse_sinr(M: np.ndarray) -> np.ndarray:
@@ -145,12 +144,10 @@ def _gap_rate(M: np.ndarray, Gamma: float) -> np.ndarray:
     return np.log2(1.0 + _mse_sinr(M) / Gamma).mean(axis=-1)
 
 
-def mutual_information(
-    q: int, precoders: np.ndarray, links: LinkMatrices, base: float = 2.0
-) -> float:
-    """(1/N) log det(I + F^H H^H R^{-1} H F) for user q."""
+def mutual_information(q: int, precoders: np.ndarray, links: LinkMatrices) -> float:
+    """(1/N) log2 det(I + F^H H^H R^{-1} H F) for user q, in bits."""
     R = interference_covariance(q, precoders, links)
-    return float(_log_det_rate(_whitened_channel(q, precoders[q], links, R)[2], base))
+    return float(_log_det_rate(_whitened_channel(q, precoders[q], links, R)[2]))
 
 
 def mmse_receiver(
@@ -173,7 +170,7 @@ def mmse_receiver(
         GRG = G.conj().T @ R @ G
         inner = GH_HF.conj().T @ np.linalg.pinv(GRG) @ GH_HF
         sign, logdet = np.linalg.slogdet(np.eye(N) + inner)
-        direct = _log_det_rate(M, np.e) * N
+        direct = _log_det_rate(M) * (N * np.log(2.0))
         if sign.real <= 0 or abs(logdet - direct) > 1e-9 * max(1.0, abs(direct)):
             raise NumericFailureError("MMSE filter is not capacity-lossless")
     return G
@@ -317,12 +314,12 @@ def verify_diagonal_optimality(
         WaterfillInput(g=game.gain2[q, q, :], i=i, Gamma=gap, pmax=game.pmax[q], budget=1.0)
     )
 
-    precoders = np.stack([precoder_from_profile(opponents[r], ch.P[r], N) for r in range(Q)])
-    precoders[q] = precoder_from_profile(p_star, ch.P[q], N)
+    precoders = np.stack([precoder_from_profile(opponents[r], ch.P[r]) for r in range(Q)])
+    precoders[q] = precoder_from_profile(p_star, ch.P[q])
 
     if payoff == "mutual_information":
         best_value = mutual_information(q, precoders, links)
-        score = lambda M: _log_det_rate(M, 2.0)
+        score = _log_det_rate
     elif payoff == "gap":
         best_value = gap_rate(q, precoders, links, gap)
         score = lambda M: _gap_rate(M, gap)

@@ -6,8 +6,8 @@ scalarization of the multi-objective problem, a modified game whose
 equilibria sit on the frontier, and the max-min rate each user can
 guarantee against arbitrary (feasible) opponents.
 
-Rates default to bits per symbol per bin (base 2); the log base is a
-parameter everywhere, with natural logs used internally.
+Rates are in bits per symbol per bin.  ``sample_rate_region`` grids the
+per-user region; ``total_split_rates`` sweeps two-user splits of a pooled budget.
 """
 
 from __future__ import annotations
@@ -23,19 +23,6 @@ from .rng import derive_rng
 from .waterfilling import PowerProfile, WaterfillInput, level_solve, waterfill
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """One achievable rate vector and where it came from."""
-
-    r: np.ndarray
-    provenance: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=np.float64))
-        if (self.r < -1e-12).any():
-            raise InvalidInputError("rates must be nonnegative")
-
-
 def _check_weights(weights, Q: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (Q,) or (w <= 0).any():
@@ -43,49 +30,34 @@ def _check_weights(weights, Q: int) -> np.ndarray:
     return w
 
 
-def rate_array(p: np.ndarray, game: NormalizedGame, base: float = 2.0) -> np.ndarray:
-    """Per-user information rates of a profile, shape (Q,)."""
+def rate_array(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
+    """Per-user information rates of a profile in bits, shape (Q,)."""
     p = np.asarray(p, dtype=np.float64)
     direct = game.direct_gain2()
     sinr = direct * p / game.interference(p)
-    return np.log1p(sinr / game.Gamma[:, None]).sum(axis=1) / (game.N * np.log(base))
+    return np.log1p(sinr / game.Gamma[:, None]).sum(axis=1) / (game.N * np.log(2.0))
 
 
-def rate_vector(
-    p: np.ndarray | PowerProfile,
-    game: NormalizedGame,
-    base: float = 2.0,
-    provenance: str = "profile",
-) -> RatePoint:
-    """Rates of a feasible profile as a tagged point."""
-    arr = p.p if isinstance(p, PowerProfile) else np.asarray(p, dtype=np.float64)
-    return RatePoint(r=rate_array(arr, game, base=base), provenance=provenance)
-
-
-def rate_gradient(
-    p: np.ndarray, game: NormalizedGame, q: int, base: float = 2.0
-) -> np.ndarray:
+def rate_gradient(p: np.ndarray, game: NormalizedGame, q: int) -> np.ndarray:
     """Gradient of user q's rate with respect to every power, shape (Q, N).
 
     Own-power entries are positive wherever the direct gain is; cross
     entries are never positive (interference only hurts).  Closed form:
     with i = interference factor and d = i + g*p_q/Gamma,
 
-        dR_q/dp_q(k) =  (g/Gamma) / (ln(base) N d)
-        dR_q/dp_r(k) = -(g p_q/Gamma) c_r / (ln(base) N i d),  r != q.
+        dR_q/dp_q(k) =  (g/Gamma) / (ln(2) N d)
+        dR_q/dp_r(k) = -(g p_q/Gamma) c_r / (ln(2) N i d),  r != q.
     """
     p = np.asarray(p, dtype=np.float64)
-    return _rate_gradient(p, game, q, game.interference(p)[q], base)
+    return _rate_gradient(p, game, q, game.interference(p)[q])
 
 
-def _rate_gradient(
-    p: np.ndarray, game: NormalizedGame, q: int, i: np.ndarray, base: float
-) -> np.ndarray:
+def _rate_gradient(p: np.ndarray, game: NormalizedGame, q: int, i: np.ndarray) -> np.ndarray:
     """``rate_gradient`` given user q's interference factors ``i``."""
     g = game.gain2[q, q, :]
     scaled = g / game.Gamma[q]
     d = i + scaled * p[q]
-    coef = 1.0 / (game.N * np.log(base))
+    coef = 1.0 / (game.N * np.log(2.0))
     grad = np.empty_like(p)
     grad[q] = coef * scaled / d
     cross = -coef * (scaled * p[q]) / (i * d)
@@ -95,15 +67,13 @@ def _rate_gradient(
     return grad
 
 
-def scalarized_gradient(
-    p: np.ndarray, game: NormalizedGame, weights: np.ndarray, base: float = 2.0
-) -> np.ndarray:
+def scalarized_gradient(p: np.ndarray, game: NormalizedGame, weights: np.ndarray) -> np.ndarray:
     """Gradient of sum_q weights_q * R_q(p), shape (Q, N)."""
     p = np.asarray(p, dtype=np.float64)
     i = game.interference(p)
     total = np.zeros_like(p)
     for q in range(game.Q):
-        total += weights[q] * _rate_gradient(p, game, q, i[q], base)
+        total += weights[q] * _rate_gradient(p, game, q, i[q])
     return total
 
 
@@ -162,19 +132,9 @@ def _box_simplex_grid(pmax_q: np.ndarray, N: int, resolution: int) -> np.ndarray
     """Gridded strategies covering one user's whole set (budget may be slack)."""
     total = float(N)
     cap = np.minimum(pmax_q, total)
-    if N == 1:
-        return np.linspace(0.0, cap[0], resolution)[:, None]
-    if N == 2:
-        ax0 = np.linspace(0.0, cap[0], resolution)
-        ax1 = np.linspace(0.0, cap[1], resolution)
-        P0, P1 = np.meshgrid(ax0, ax1, indexing="ij")
-        pts = np.column_stack([P0.ravel(), P1.ravel()])
-        return pts[pts.sum(axis=1) <= total + 1e-12]
-    if N == 3:
-        axes = [np.linspace(0.0, cap[j], resolution) for j in range(3)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-        return pts[pts.sum(axis=1) <= total + 1e-12]
-    raise InvalidInputError("grid sampling implemented for N <= 3")
+    axes = [np.linspace(0.0, cap[j], resolution) for j in range(N)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, N)
+    return pts[pts.sum(axis=1) <= total + 1e-12]
 
 
 def _budget_face_grid(pmax_q: np.ndarray, grid: int) -> np.ndarray:
@@ -235,60 +195,35 @@ class RegionSample:
 
     points: np.ndarray
     pareto: np.ndarray
-    mode: str
-    meta: dict
 
 
-def sample_rate_region(
-    game: NormalizedGame,
-    resolution: int = 16,
-    budget_mode: str = "per_user",
-    splits: np.ndarray | None = None,
-    base: float = 2.0,
-    solver_tol: float = 1e-8,
-) -> RegionSample:
-    """Sample achievable rate vectors and flag the Pareto subset.
-
-    budget_mode="per_user" grids every user's own strategy set (the
-    multi-objective feasible region).  budget_mode="total_split" sweeps a
-    two-user split of the pooled budget and records the equilibrium rates
-    of each split (the fixed-total-power equilibrium region).
-    """
+def sample_rate_region(game: NormalizedGame, resolution: int) -> RegionSample:
+    """Grid every user's own strategy set (the multi-objective feasible
+    region) and flag the Pareto subset of the rate points."""
     Q = game.Q
-    if budget_mode == "per_user":
-        if Q > 3:
-            raise InvalidInputError("grid sampling is limited to Q <= 3")
-        grids = [_box_simplex_grid(game.pmax[q], game.N, resolution) for q in range(Q)]
-        sizes = [g.shape[0] for g in grids]
-        if int(np.prod(sizes)) * game.N > 8_000_000:
-            raise InvalidInputError("resolution too high for grid sampling")
-        points = np.column_stack(
-            [_grid_rates(game, grids, q).ravel() for q in range(Q)]
-        )
-        return RegionSample(
-            points=points,
-            pareto=pareto_filter(points),
-            mode=budget_mode,
-            meta={"sizes": sizes, "base": base},
-        )
-    if budget_mode == "total_split":
-        if Q != 2:
-            raise InvalidInputError("total_split sweep is defined for Q = 2")
-        if splits is None:
-            splits = np.linspace(0.1, 0.9, resolution)
-        pts = []
-        for t in np.asarray(splits, dtype=np.float64):
-            scaled = game.scaled_powers(np.array([2.0 * t, 2.0 * (1.0 - t)]))
-            res = solve(scaled, schedule="sequential", tol=solver_tol)
-            pts.append(rate_array(res.profile.p, scaled, base=base))
-        points = np.asarray(pts)
-        return RegionSample(
-            points=points,
-            pareto=pareto_filter(points),
-            mode=budget_mode,
-            meta={"splits": np.asarray(splits).tolist(), "base": base},
-        )
-    raise InvalidInputError(f"unknown budget_mode {budget_mode!r}")
+    if Q > 3 or game.N > 3:
+        raise InvalidInputError("grid sampling is limited to Q <= 3 and N <= 3")
+    grids = [_box_simplex_grid(game.pmax[q], game.N, resolution) for q in range(Q)]
+    if int(np.prod([g.shape[0] for g in grids])) * game.N > 8_000_000:
+        raise InvalidInputError("resolution too high for grid sampling")
+    points = np.column_stack([_grid_rates(game, grids, q).ravel() for q in range(Q)])
+    return RegionSample(points=points, pareto=pareto_filter(points))
+
+
+def total_split_rates(game: NormalizedGame, splits) -> np.ndarray:
+    """Equilibrium rates of each two-user split of the pooled budget, shape (S, 2).
+
+    Split t gives the users 2t and 2(1 - t) times their budgets (the
+    fixed-total-power equilibrium region).
+    """
+    if game.Q != 2:
+        raise InvalidInputError("total_split sweep is defined for Q = 2")
+    pts = []
+    for t in np.asarray(splits, dtype=np.float64):
+        scaled = game.scaled_powers(np.array([2.0 * t, 2.0 * (1.0 - t)]))
+        res = solve(scaled, schedule="sequential", tol=1e-8)
+        pts.append(rate_array(res.profile.p, scaled))
+    return np.asarray(pts)
 
 
 def _ascent(value, gradient, project, p: np.ndarray, step: float):
@@ -333,7 +268,6 @@ def solve_scalarized(
     tol: float = 1e-8,
     max_iter: int = 3000,
     seed: int = 0,
-    base: float = 2.0,
 ) -> ScalarizedResult:
     """Multi-start projected-gradient ascent on sum_q w_q R_q.
 
@@ -344,10 +278,10 @@ def solve_scalarized(
     w = _check_weights(weights, game.Q)
 
     def value(p):
-        return float(w @ rate_array(p, game, base=base))
+        return float(w @ rate_array(p, game))
 
     def gradient(p):
-        return scalarized_gradient(p, game, w, base=base)
+        return scalarized_gradient(p, game, w)
 
     def project(p):
         return project_all(p, game)
@@ -391,7 +325,6 @@ def solve_modified_game(
     tol: float = 1e-7,
     max_iter: int = 5000,
     init: np.ndarray | None = None,
-    base: float = 2.0,
 ) -> ModifiedGameResult:
     """Simultaneous projected-gradient play of the side-payment game.
 
@@ -405,7 +338,7 @@ def solve_modified_game(
     p = np.minimum(1.0, game.pmax) if init is None else project_all(np.asarray(init, float), game)
 
     def objective(x):
-        return float(w @ rate_array(x, game, base=base))
+        return float(w @ rate_array(x, game))
 
     # The residual at p and the next step from p need the same gradient;
     # iterates are never modified in place, so the last one is kept by identity.
@@ -413,7 +346,7 @@ def solve_modified_game(
 
     def play_gradient(x):
         if x is not last[0]:
-            last[:] = x, scalarized_gradient(x, game, w, base=base) / w[:, None]
+            last[:] = x, scalarized_gradient(x, game, w) / w[:, None]
         return last[1]
 
     residual = np.inf
@@ -427,7 +360,7 @@ def solve_modified_game(
             break
     return ModifiedGameResult(
         profile=PowerProfile(p),
-        rates=rate_array(p, game, base=base),
+        rates=rate_array(p, game),
         residual=residual,
         iterations=iterations,
         converged=converged,
@@ -445,8 +378,7 @@ class MinmaxResult:
 
 
 def _worst_opponents(
-    game: NormalizedGame, q: int, p_q: np.ndarray, p0: np.ndarray, base: float,
-    tol: float, max_iter: int,
+    game: NormalizedGame, q: int, p_q: np.ndarray, p0: np.ndarray, tol: float, max_iter: int
 ) -> np.ndarray:
     """Opponent profile minimizing user q's rate at fixed p_q (convex).
 
@@ -456,10 +388,10 @@ def _worst_opponents(
     p[q] = p_q
 
     def value(x):
-        return -float(rate_array(x, game, base=base)[q])
+        return -float(rate_array(x, game)[q])
 
     def gradient(x):
-        g = -rate_gradient(x, game, q, base=base)
+        g = -rate_gradient(x, game, q)
         g[q] = 0.0
         return g
 
@@ -482,7 +414,6 @@ def minmax_bound(
     outer_iters: int = 80,
     inner_iters: int = 400,
     tol: float = 1e-9,
-    base: float = 2.0,
 ) -> MinmaxResult:
     """Max over own powers of the min over opponents of user q's rate.
 
@@ -505,7 +436,7 @@ def minmax_bound(
         p = np.zeros((Q, N))
         p[q] = solo
         return MinmaxResult(
-            value=float(rate_array(p, game, base=base)[q]),
+            value=float(rate_array(p, game)[q]),
             method="closed_form",
             profile=PowerProfile(p),
         )
@@ -532,26 +463,24 @@ def minmax_bound(
     opp0 = np.minimum(1.0, game.pmax)
     best_val, best_pq = -np.inf, p_q.copy()
     for t in range(1, outer_iters + 1):
-        p = _worst_opponents(game, q, p_q, opp0, base, tol, inner_iters)
-        val = float(rate_array(p, game, base=base)[q])
+        p = _worst_opponents(game, q, p_q, opp0, tol, inner_iters)
+        val = float(rate_array(p, game)[q])
         if val > best_val:
             best_val, best_pq = val, p_q.copy()
-        grad_own = rate_gradient(p, game, q, base=base)[q]
+        grad_own = rate_gradient(p, game, q)[q]
         p_q = project_profile(p_q + (0.5 / np.sqrt(t)) * grad_own, game.pmax[q])
         opp0 = p
     # Certify the best candidate with a tighter inner solve.
-    p = _worst_opponents(game, q, best_pq, opp0, base, tol * 0.1, 4 * inner_iters)
-    value = float(rate_array(p, game, base=base)[q])
+    p = _worst_opponents(game, q, best_pq, opp0, tol * 0.1, 4 * inner_iters)
+    value = float(rate_array(p, game)[q])
     return MinmaxResult(value=value, method="saddle", profile=PowerProfile(p))
 
 
-def low_interference_rate(
-    p: np.ndarray, game: NormalizedGame, base: float = 2.0
-) -> np.ndarray:
+def low_interference_rate(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
     """High-SNR / weak-coupling rate approximation (full-support profiles).
 
     Drops the +1 inside the log of the SINR expression:
-    R_q ~ (1/N) sum_k log(g_q p_q / Gamma_q / (1 + sum_r c_r p_r)).
+    R_q ~ (1/N) sum_k log2(g_q p_q / Gamma_q / (1 + sum_r c_r p_r)).
     Requires every user to load every bin; raises otherwise.
     """
     p = np.asarray(p, dtype=np.float64)
@@ -559,4 +488,4 @@ def low_interference_rate(
         raise InvalidInputError("approximation needs strictly positive power on every bin")
     direct = game.direct_gain2()
     ratio = direct * p / (game.Gamma[:, None] * game.interference(p))
-    return np.log(ratio).sum(axis=1) / (game.N * np.log(base))
+    return np.log(ratio).sum(axis=1) / (game.N * np.log(2.0))

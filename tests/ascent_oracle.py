@@ -25,11 +25,11 @@ from specnash.rng import derive_rng
 from specnash.waterfilling import WaterfillInput, waterfill
 
 
-def scalarized_gradient(p, game, weights, base=2.0):
+def scalarized_gradient(p, game, weights):
     """Gradient of sum_q weights_q * R_q(p), shape (Q, N)."""
     total = np.zeros_like(np.asarray(p, dtype=np.float64))
     for q in range(game.Q):
-        total += weights[q] * rate_gradient(p, game, q, base=base)
+        total += weights[q] * rate_gradient(p, game, q)
     return total
 
 
@@ -57,14 +57,14 @@ def _ascend(value, gradient, project, p0, step, tol, max_iter):
     return p, val
 
 
-def oracle_scalarized(game, w, restarts, step, tol, max_iter, seed, base=2.0):
+def oracle_scalarized(game, w, restarts, step, tol, max_iter, seed):
     """Best (profile, value) and the restart values of the multi-start ascent."""
 
     def value(p):
-        return float(w @ rate_array(p, game, base=base))
+        return float(w @ rate_array(p, game))
 
     def gradient(p):
-        return scalarized_gradient(p, game, w, base=base)
+        return scalarized_gradient(p, game, w)
 
     def project(p):
         return project_all(p, game)
@@ -83,15 +83,15 @@ def oracle_scalarized(game, w, restarts, step, tol, max_iter, seed, base=2.0):
     return best_p, best_val, values
 
 
-def oracle_modified_game(game, w, step, tol, max_iter, base=2.0):
+def oracle_modified_game(game, w, step, tol, max_iter):
     """(profile, residual, iterations, converged) of the side-payment play."""
     p = np.minimum(1.0, game.pmax)
 
     def objective(x):
-        return float(w @ rate_array(x, game, base=base))
+        return float(w @ rate_array(x, game))
 
     def play_gradient(x):
-        return scalarized_gradient(x, game, w, base=base) / w[:, None]
+        return scalarized_gradient(x, game, w) / w[:, None]
 
     val = objective(p)
     alpha = step
@@ -119,19 +119,19 @@ def oracle_modified_game(game, w, step, tol, max_iter, base=2.0):
     return p, residual, iterations, converged
 
 
-def _worst_opponents(game, q, p_q, p0, base, tol, max_iter):
+def _worst_opponents(game, q, p_q, p0, tol, max_iter):
     """Opponent profile minimizing user q's rate at fixed p_q (convex)."""
     others = [r for r in range(game.Q) if r != q]
     p = p0.copy()
     p[q] = p_q
 
     def value(x):
-        return float(rate_array(x, game, base=base)[q])
+        return float(rate_array(x, game)[q])
 
     val = value(p)
     alpha = 1.0
     for _ in range(max_iter):
-        grad = rate_gradient(p, game, q, base=base)
+        grad = rate_gradient(p, game, q)
         cand = p.copy()
         while True:
             for r in others:
@@ -151,7 +151,7 @@ def _worst_opponents(game, q, p_q, p0, base, tol, max_iter):
     return p
 
 
-def oracle_minmax_saddle(game, q, outer_iters, inner_iters, tol, base=2.0):
+def oracle_minmax_saddle(game, q, outer_iters, inner_iters, tol):
     """(value, profile) of the supergradient saddle search for user q."""
     N = game.N
     p_q = waterfill(
@@ -161,12 +161,12 @@ def oracle_minmax_saddle(game, q, outer_iters, inner_iters, tol, base=2.0):
     opp0 = np.minimum(1.0, game.pmax)
     best_val, best_pq = -np.inf, p_q.copy()
     for t in range(1, outer_iters + 1):
-        p = _worst_opponents(game, q, p_q, opp0, base, tol, inner_iters)
-        val = float(rate_array(p, game, base=base)[q])
+        p = _worst_opponents(game, q, p_q, opp0, tol, inner_iters)
+        val = float(rate_array(p, game)[q])
         if val > best_val:
             best_val, best_pq = val, p_q.copy()
-        grad_own = rate_gradient(p, game, q, base=base)[q]
+        grad_own = rate_gradient(p, game, q)[q]
         p_q = project_profile(p_q + (0.5 / np.sqrt(t)) * grad_own, game.pmax[q])
         opp0 = p
-    p = _worst_opponents(game, q, best_pq, opp0, base, tol * 0.1, 4 * inner_iters)
-    return float(rate_array(p, game, base=base)[q]), p
+    p = _worst_opponents(game, q, best_pq, opp0, tol * 0.1, 4 * inner_iters)
+    return float(rate_array(p, game)[q]), p

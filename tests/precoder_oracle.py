@@ -46,14 +46,14 @@ def _whitened_channel(q, precoders, links):
     return HF.conj().T @ np.linalg.solve(R, HF)
 
 
-def oracle_mutual_information(q, precoders, links, base=2.0):
-    """(1/N) log det(I + F^H H^H R^{-1} H F) for user q."""
+def oracle_mutual_information(q, precoders, links):
+    """(1/N) log2 det(I + F^H H^H R^{-1} H F) for user q."""
     N = links.N
     M = _whitened_channel(q, precoders, links)
     sign, logdet = np.linalg.slogdet(np.eye(N) + M)
     if sign.real <= 0 or not np.isfinite(logdet):
         raise NumericFailureError("log-det of the mutual-information form failed")
-    return float(logdet / (N * np.log(base)))
+    return float(logdet / (N * np.log(2.0)))
 
 
 def oracle_mse_sinr(q, precoders, links):
@@ -108,8 +108,8 @@ def oracle_verify(ch, q, samples, seed, payoff, Gamma=None, tol=1e-9):
     p_star = waterfill(
         WaterfillInput(g=game.gain2[q, q, :], i=i, Gamma=gap, pmax=game.pmax[q], budget=1.0)
     )
-    precoders = np.stack([precoder_from_profile(opponents[r], ch.P[r], N) for r in range(Q)])
-    precoders[q] = precoder_from_profile(p_star, ch.P[q], N)
+    precoders = np.stack([precoder_from_profile(opponents[r], ch.P[r]) for r in range(Q)])
+    precoders[q] = precoder_from_profile(p_star, ch.P[q])
     if payoff == "mutual_information":
         evaluate = lambda P: oracle_mutual_information(q, P, links)
     else:

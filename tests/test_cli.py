@@ -417,6 +417,97 @@ class TestPsdDriver:
         assert meta["config"] == cfg and meta["converged"] and meta["residual"] <= 1e-10
 
 
+REGION_SCENARIO = {"Q": 2, "N": 4, "gamma": 2.5, "snr_db": 5.0, "Gamma": 1.0,
+                   "channel_order": 2}
+REGION_CFGS = {
+    "symmetric": SMALL_CFGS["rate-region"],
+    "asymmetric": {"seed": 1, "mode": "asymmetric", "seeds": 1, "restarts": 1,
+                   "d12_over_d21": 0.2, "d_cross_geomean": 1.5, "scenario": REGION_SCENARIO},
+    "channel_order": {"seed": 2, "mode": "channel_order", "orders": [0, 2], "seeds": 2,
+                      "scenario": REGION_SCENARIO | {"d_ratio": 2.0}},
+}
+
+
+class TestConfigValidation:
+    @pytest.fixture
+    def no_channel(self, monkeypatch):
+        import specnash.experiments as experiments_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("config rejected only after building a channel")
+
+        monkeypatch.setattr(experiments_mod, "scenario_from_config", fail)
+
+    def run(self, tmp_path, command, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "x.out"
+        rc = main([command, "--config", str(cfg_path), "--out", str(out)])
+        return rc, out
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("montecarlo", MC_CFG | {"d_ratio_sweep": 2.0}, "d_ratio_sweep"),
+        ("montecarlo", MC_CFG | {"d_ratio_sweep": [1.0, None]}, "d_ratio_sweep"),
+        ("montecarlo", MC_CFG | {"trials": None}, "trials"),
+        ("montecarlo", MC_CFG | {"trials": True}, "trials"),
+        ("montecarlo", MC_CFG | {"Dq_modes": "all"}, "Dq_modes"),
+        ("solve", PSD_CFG | {"seed": None}, "seed"),
+        ("solve", PSD_CFG | {"solver": {"tol": "1e-9"}}, "tol"),
+        ("solve", PSD_CFG | {"check_rule": "yes"}, "check_rule"),
+        ("verify-theorem1", SMALL_CFGS["verify-theorem1"] | {"instances": None}, "instances"),
+        ("verify-theorem1", SMALL_CFGS["verify-theorem1"] | {"payoffs": "gap"}, "payoffs"),
+        ("check-uniqueness", SMALL_CFGS["check-uniqueness"] | {"Dq_mode": ["all"]}, "Dq_mode"),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"resolution": 4.5}, "resolution"),
+        ("rate-region", REGION_CFGS["channel_order"] | {"orders": 4}, "orders"),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"scenario": None}, "scenario"),
+        ("montecarlo", MC_CFG | {"scenario": None}, "scenario"),
+        ("solve", PSD_CFG | {"scenario": None}, "scenario"),
+        ("check-uniqueness", {"seed": 1, "scenario": None}, "scenario"),
+        ("verify-theorem1", SMALL_CFGS["verify-theorem1"] | {"scenario": None}, "scenario"),
+    ])
+    def test_wrong_type_exit_code(self, tmp_path, capsys, no_channel, command, cfg, key):
+        # Each printed a TypeError (or AttributeError) traceback, ran on a
+        # value of the wrong type, or (Dq_modes) read "all" as the unknown
+        # modes "a, l, l".
+        rc, out = self.run(tmp_path, command, cfg)
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
+
+    @pytest.mark.parametrize("command,cfg,named", [
+        ("rate-region", SMALL_CFGS["rate-region"] | {"resolutoin": 4}, "resolutoin"),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"seeds": 3}, "seeds"),
+        ("rate-region", REGION_CFGS["asymmetric"] | {"resolution": 5}, "resolution"),
+        ("rate-region", REGION_CFGS["channel_order"] | {"restarts": 2}, "restarts"),
+        ("check-uniqueness", SMALL_CFGS["check-uniqueness"] | {"Dq_mdoe": "all"}, "Dq_mdoe"),
+        ("check-uniqueness", SMALL_CFGS["check-uniqueness"] | {"Dq_mode": "al"}, "al"),
+    ])
+    def test_unknown_key_exit_code(self, tmp_path, capsys, no_channel, command, cfg, named):
+        # "resolutoin" ran at resolution 16, and "Dq_mdoe" ran the default
+        # mode; an unknown Dq_mode failed only after the channel was built.
+        rc, out = self.run(tmp_path, command, cfg)
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and named in err
+
+    @pytest.mark.parametrize("mode", sorted(REGION_CFGS))
+    def test_region_accepted_keys(self, tmp_path, mode):
+        cfg = REGION_CFGS[mode] | {"kind": "rate_region", "out": str(tmp_path / "unused.csv")}
+        if mode == "symmetric":
+            cfg["mg_tol"] = 1e-6
+        rc, out = self.run(tmp_path, "rate-region", cfg)
+        assert rc == 0
+        assert json.loads(out.with_name(out.name + ".meta.json").read_text())["config"] == cfg
+
+    def test_check_uniqueness_accepted_keys(self, tmp_path):
+        cfg = SMALL_CFGS["check-uniqueness"] | {"kind": "check_uniqueness", "Dq_mode": "all",
+                                                "out": str(tmp_path / "unused.json")}
+        rc, out = self.run(tmp_path, "check-uniqueness", cfg)
+        assert rc == 0
+        assert set(json.loads(out.read_text())["conditions"]) == {f"C{i}" for i in range(1, 8)}
+
+
 class TestCliContract:
     def test_solve_roundtrip_and_determinism(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

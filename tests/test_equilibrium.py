@@ -18,7 +18,6 @@ from specnash import (
 from specnash.equilibrium import (
     best_response,
     check_allocation_rule,
-    classify_equilibrium,
     classify_profile,
     orthogonal_profile,
     solve,
@@ -284,13 +283,6 @@ class TestClassification:
         cls = classify_profile(np.ones((2, 4)), game)
         assert not cls.orthogonal
         assert cls.shared_carriers == 4
-
-    def test_requires_convergence(self):
-        game, _, _ = random_c1_game(seed=2)
-        res = solve(game, tol=1e-16, max_iter=1)
-        assert not res.converged
-        with pytest.raises(InvalidInputError):
-            classify_equilibrium(res, game)
 
     def test_eps_stability_on_constructed_instance(self):
         game = high_interference_game(seed=11)

@@ -35,7 +35,7 @@ def scenario(Q=2, N=4, seed=1, snr_db=8.0, d_ratio=2.0):
 
 
 def diagonal_precoders(ch, p):
-    return np.stack([precoder_from_profile(p[r], ch.P[r], ch.N) for r in range(ch.Q)])
+    return np.stack([precoder_from_profile(p[r], ch.P[r]) for r in range(ch.Q)])
 
 
 def sinr_via_receiver(q, precoders, links, G):
@@ -219,12 +219,12 @@ class TestDiagonalOptimality:
         opponents = np.minimum(1.0, game.pmax)
         p_star = best_response(0, opponents, game)
         F = diagonal_precoders(ch, opponents)
-        F[0] = precoder_from_profile(p_star, ch.P[0], 4)
+        F[0] = precoder_from_profile(p_star, ch.P[0])
         best = mutual_information(0, F, links)
         for s in range(40):
             p_rand = np.random.default_rng(s).uniform(0, 2, 4)
             p_rand = p_rand / p_rand.mean()
-            F[0] = precoder_from_profile(p_rand, ch.P[0], 4)
+            F[0] = precoder_from_profile(p_rand, ch.P[0])
             assert mutual_information(0, F, links) <= best + 1e-9
 
     def test_random_precoders_mutual_information(self):

@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 import ascent_oracle
 from ascent_oracle import oracle_minmax_saddle, oracle_modified_game, oracle_scalarized
 from conftest import flat_game, random_c1_game
+from grid_oracle import oracle_box_simplex_grid
 from level_oracle import oracle_project
 from specnash import (
     InvalidInputError,
@@ -27,11 +28,11 @@ from specnash.pareto import (
     random_feasible_profile,
     rate_array,
     rate_gradient,
-    rate_vector,
     sample_rate_region,
     scalarized_gradient,
     solve_modified_game,
     solve_scalarized,
+    total_split_rates,
 )
 
 
@@ -71,19 +72,6 @@ class TestRates:
         ref0 = 0.5 * (np.log2(1 + sinr0[0]) + np.log2(1 + sinr0[1]))
         ref1 = 0.5 * (np.log2(1 + sinr1[0]) + np.log2(1 + sinr1[1]))
         np.testing.assert_allclose(rate_array(p, game), [ref0, ref1], rtol=1e-12)
-
-    def test_rate_vector_wrapper(self):
-        game = flat_game(Q=2, coupling=0.4, N=2)
-        pt = rate_vector(np.ones((2, 2)), game, provenance="NE")
-        assert pt.provenance == "NE"
-        np.testing.assert_allclose(pt.r, rate_array(np.ones((2, 2)), game))
-
-    def test_base_conversion(self):
-        game = flat_game(Q=1, coupling=0.0, N=2)
-        p = np.ones((1, 2))
-        bits = rate_array(p, game, base=2.0)
-        nats = rate_array(p, game, base=np.e)
-        assert bits[0] == pytest.approx(nats[0] / np.log(2.0))
 
 
 class TestGradient:
@@ -212,16 +200,32 @@ class TestRegion:
 
     def test_total_split_mode(self):
         game, _, _ = random_c1_game(seed=12)
-        sweep = sample_rate_region(game, budget_mode="total_split", splits=[0.3, 0.5, 0.7])
-        assert sweep.points.shape == (3, 2)
-        assert (sweep.points >= 0).all()
+        points = total_split_rates(game, [0.3, 0.5, 0.7])
+        assert points.shape == (3, 2)
+        assert (points >= 0).all()
 
     def test_guards(self):
         game = flat_game(Q=2, coupling=0.2, N=4)
         with pytest.raises(InvalidInputError):
             sample_rate_region(game, resolution=16)  # N = 4 unsupported
         with pytest.raises(InvalidInputError):
-            sample_rate_region(game, budget_mode="bogus")
+            total_split_rates(flat_game(Q=3, coupling=0.2, N=2), [0.5])  # two users only
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        N=st.integers(1, 3),
+        resolution=st.integers(2, 32),
+        caps=st.lists(
+            st.one_of(st.floats(0.0, 4.0), st.just(float(UNBOUNDED))), min_size=3, max_size=3
+        ),
+    )
+    def test_grid_matches_branch_oracle(self, N, resolution, caps):
+        # Caps of zero, below N, above N (clipped to the budget) and unbounded.
+        pmax_q = np.array(caps[:N])
+        new = pareto._box_simplex_grid(pmax_q, N, resolution)
+        old = oracle_box_simplex_grid(pmax_q, N, resolution)
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert np.array_equal(new, old)
 
 
 class TestScalarized:
