@@ -13,12 +13,11 @@ from .channel import (
     NormalizedGame,
     build_game,
     frequency_response,
-    generate_fir_channel,
     ratio_scenario,
 )
 from .errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
 from .rng import derive_rng
-from .waterfilling import PowerProfile, WaterfillInput, kkt_residual, water_level, waterfill
+from .waterfilling import PowerProfile, WaterfillInput, kkt_residual, waterfill
 
 __all__ = [
     "UNBOUNDED",
@@ -32,10 +31,8 @@ __all__ = [
     "build_game",
     "derive_rng",
     "frequency_response",
-    "generate_fir_channel",
     "kkt_residual",
     "ratio_scenario",
-    "water_level",
     "waterfill",
 ]
 

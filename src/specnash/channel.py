@@ -8,6 +8,7 @@ power, determines the per-bin squared gains consumed by the power game.
 DFT convention, fixed once for the whole package: the response on bin k
 is ``sum_l taps[l] * exp(-2j*pi*k*l/N)`` for k = 0..N-1 (zero-padded,
 no 1/sqrt(N) scaling; the unitary factor cancels in every gain ratio).
+:func:`frequency_response` is the only code that applies it to taps.
 Bin indices are 0-based internally and 1-based in emitted reports.
 """
 
@@ -167,30 +168,14 @@ class NormalizedGame:
         )
 
 
-def generate_fir_channel(seed: int, L_h: int, variance: float) -> np.ndarray:
-    """Draw L_h + 1 i.i.d. circularly-symmetric complex Gaussian taps.
-
-    Each tap has variance ``variance`` (split evenly between real and
-    imaginary parts).  Deterministic given the seed.
-    """
-    if L_h < 0:
-        raise InvalidInputError("L_h must be >= 0")
-    if variance <= 0:
-        raise InvalidInputError("variance must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    scale = np.sqrt(variance / 2.0)
-    re = rng.standard_normal(L_h + 1)
-    im = rng.standard_normal(L_h + 1)
-    return scale * (re + 1j * im)
-
-
 def frequency_response(taps: np.ndarray, N: int) -> np.ndarray:
-    """Length-N response of a FIR channel (zero-padded DFT, see module note)."""
+    """Length-N responses of FIR taps along their last axis (any leading axes
+    index the links): the package's one tap DFT, see the module note."""
     taps = np.asarray(taps, dtype=np.complex128)
-    if taps.ndim != 1:
-        raise InvalidInputError("taps must be a 1-D vector")
-    if taps.size > N:
-        raise InvalidInputError(f"{taps.size} taps do not fit in N={N} bins")
+    if taps.ndim == 0:
+        raise InvalidInputError("taps must have at least one axis")
+    if taps.shape[-1] > N:
+        raise InvalidInputError(f"{taps.shape[-1]} taps do not fit in N={N} bins")
     return np.fft.fft(taps, n=N)
 
 
@@ -200,7 +185,7 @@ def build_game(ch: ChannelSet) -> NormalizedGame:
     Pure function: ``gain2[r, q, k] = |resp_rq(k)|^2 * P_r / (sigma2_q *
     d_rq**gamma)`` and ``pmax[q] = pmax_bar[q] / P_q``.
     """
-    return _scaled_game(ch, np.abs(np.fft.fft(ch.taps, n=ch.N, axis=2)) ** 2)
+    return _scaled_game(ch, np.abs(frequency_response(ch.taps, ch.N)) ** 2)
 
 
 def distance_sweep(ch: ChannelSet, distances) -> list:
@@ -210,7 +195,7 @@ def distance_sweep(ch: ChannelSet, distances) -> list:
     the same fading powers, so game i equals ``build_game`` of ``ch`` with
     ``d = distances[i]``.
     """
-    fading2 = np.abs(np.fft.fft(ch.taps, n=ch.N, axis=2)) ** 2
+    fading2 = np.abs(frequency_response(ch.taps, ch.N)) ** 2
     return [_scaled_game(replace(ch, d=d), fading2) for d in distances]
 
 

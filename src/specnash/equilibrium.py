@@ -35,7 +35,6 @@ class Classification:
     orthogonal: bool
     shared_carriers: int
     flatness: np.ndarray
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,6 @@ class EquilibriumResult:
     profile: PowerProfile
     residual: float
     iterations: int
-    schedule: str
     converged: bool
     classification: Classification | None
     trace: np.ndarray = field(repr=False, default=None)
@@ -136,7 +134,6 @@ def solve(
         profile=PowerProfile(p),
         residual=residual,
         iterations=iterations,
-        schedule=schedule,
         converged=converged,
         classification=classify_profile(p, game) if converged else None,
         trace=np.asarray(trace),
@@ -162,7 +159,6 @@ def classify_profile(p: np.ndarray, game: NormalizedGame, eps: float = 1e-6) -> 
         orthogonal=orthogonal,
         shared_carriers=shared,
         flatness=flatness,
-        eps=eps,
     )
 
 

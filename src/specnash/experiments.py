@@ -34,9 +34,12 @@ from .uniqueness import CONDITION_NAMES, DQ_MODES, check_conditions, check_stack
 
 CSV_SCHEMA_VERSION = 1
 
-_RAW_KEYS = {"taps", "d", "gamma", "P", "sigma2", "Gamma", "N", "pmax_bar"}
-_RATIO_KEYS = {"Q", "N", "gamma", "d_ratio", "snr_db", "Gamma", "channel_order",
-               "tap_variance", "tap_decay", "d"}
+# The keys of each scenario entry kind and the JSON type of their values.
+_RAW_KEYS = {"taps": list, "d": list, "gamma": float, "P": list, "sigma2": list, "Gamma": list,
+             "N": int, "pmax_bar": list}
+_RATIO_KEYS = {"Q": int, "N": int, "gamma": float, "d_ratio": float, "snr_db": float,
+               "Gamma": float, "channel_order": int, "tap_variance": float, "tap_decay": float,
+               "d": list}
 
 
 def scenario_from_config(scen: dict, seed) -> ChannelSet:
@@ -45,10 +48,9 @@ def scenario_from_config(scen: dict, seed) -> ChannelSet:
     Raw entry: explicit taps (nested [re, im] pairs), distances, powers.
     Ratio entry: Q/N plus gamma, d_ratio, snr_db, Gamma, channel_order;
     the taps are drawn from streams keyed by ``seed``.  A key the entry
-    does not use is rejected.
+    does not use and a value of the wrong JSON type are rejected by key.
     """
-    kind, keys = ("raw", _RAW_KEYS) if "taps" in scen else ("ratio", _RATIO_KEYS)
-    _reject_unknown(f"{kind} scenario keys", scen, keys)
+    _checked_scenario(scen)
     if "taps" in scen:
         taps = np.asarray(scen["taps"], dtype=np.float64)
         if taps.ndim != 4 or taps.shape[-1] != 2:
@@ -76,6 +78,15 @@ def scenario_from_config(scen: dict, seed) -> ChannelSet:
     if "d" in kwargs:
         kwargs["d"] = np.asarray(kwargs["d"], dtype=np.float64)
     return ratio_scenario(int(scen["Q"]), int(scen["N"]), seed=seed, **kwargs)
+
+
+def _checked_scenario(scen: dict) -> dict:
+    """``scen`` once each key is one its entry kind uses and holds a value of its type."""
+    kind, keys = ("raw", _RAW_KEYS) if "taps" in scen else ("ratio", _RATIO_KEYS)
+    _reject_unknown(f"{kind} scenario keys", scen, keys)
+    for key in scen:
+        _setting(scen, key, None, keys[key])
+    return scen
 
 
 def _reject_unknown(what: str, given, known) -> None:
@@ -169,7 +180,7 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     ``workers`` is capped at the CPU count.
     """
     _reject_unknown("uniqueness_mc config keys", cfg, _MC_KEYS)
-    scen = _setting(cfg, "scenario", None, dict)
+    scen = _checked_scenario(_setting(cfg, "scenario", None, dict))
     root_seed = int(_setting(cfg, "seed", 0, int))
     trials = int(_setting(cfg, "trials", 500, int))
     if trials < 1:
@@ -328,7 +339,7 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
     _reject_unknown("rate_region mode", [mode], _REGION_MODE_KEYS)
     _reject_unknown(f"rate_region {mode} config keys", cfg, _REGION_KEYS | _REGION_MODE_KEYS[mode])
     root_seed = int(_setting(cfg, "seed", 0, int))
-    scen = _setting(cfg, "scenario", None, dict)
+    scen = _checked_scenario(_setting(cfg, "scenario", None, dict))
     rows = []
     meta: dict = {"kind": "rate_region", "mode": mode, "config": cfg}
     Q_out = int(scen["Q"]) if "Q" in scen else None
@@ -341,6 +352,8 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         ch = scenario_from_config(scen, seed=(root_seed,))
         game = build_game(ch)
         Q_out = game.Q
+        # First, so that a game it is not defined for (Q != 2) fails before the grid.
+        split_rates = total_split_rates(game, splits)
         region = sample_rate_region(game, resolution)
         for pt in region.points[region.pareto]:
             rows.append(["grid_pareto", ""] + [_fmt(v) for v in pt])
@@ -350,7 +363,7 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         for lam in lam_sweep:
             mg = solve_modified_game(game, lam, tol=mg_tol)
             rows.append(["modified_game", _lambda_label(lam)] + [_fmt(v) for v in mg.rates])
-        for t, pt in zip(splits, total_split_rates(game, splits)):
+        for t, pt in zip(splits, split_rates):
             rows.append(["ne_total_split", _fmt(t)] + [_fmt(v) for v in pt])
         meta["ne_rates"] = ne_rates.tolist()
         meta["ne_converged"] = ne.converged

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfcinv
 
-from .channel import ChannelSet, build_game
+from .channel import ChannelSet, build_game, frequency_response
 from .errors import InvalidInputError, NumericFailureError
 from .rng import derive_rng
 from .waterfilling import WaterfillInput, waterfill
@@ -58,9 +58,8 @@ class LinkMatrices:
 
 def circulant_links(ch: ChannelSet) -> LinkMatrices:
     """Build the exact circulant channel matrices of a scenario."""
-    Q, N = ch.Q, ch.N
-    W = fourier_matrix(N)
-    resp = np.fft.fft(ch.taps, n=N, axis=2) / np.sqrt(ch.d**ch.gamma)[:, :, None]
+    W = fourier_matrix(ch.N)
+    resp = frequency_response(ch.taps, ch.N) / np.sqrt(ch.d**ch.gamma)[:, :, None]
     H = np.einsum("ij,rqj,kj->rqik", W, resp, W.conj())
     return LinkMatrices(H=H, sigma2=ch.sigma2.copy())
 
@@ -94,7 +93,8 @@ def _feasible(F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray, tol: float) -> 
 def precoder_feasible(
     F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray, tol: float = 1e-9
 ) -> bool:
-    """Trace budget and per-bin mask feasibility of one precoder."""
+    """Feasibility of one precoder in the matrix game's strategy set: the
+    trace (transmit power) budget plus the spectral mask on every bin."""
     return bool(_feasible(np.asarray(F, dtype=np.complex128), P_q, pmax_bar_q, tol))
 
 
@@ -155,9 +155,10 @@ def mmse_receiver(
 ) -> np.ndarray:
     """Wiener receive filter G for user q.
 
-    G = R^{-1} H F (I + F^H H^H R^{-1} H F)^{-1}.  With verify=True the
-    capacity-losslessness identity is recomputed through G and must match
-    the direct mutual information to 1e-9.
+    G = R^{-1} H F (I + F^H H^H R^{-1} H F)^{-1}: the MMSE stage of the
+    rate game's receiver.  With verify=True the capacity-losslessness
+    identity is recomputed through G and must match the direct mutual
+    information to 1e-9.
     """
     N = links.N
     R = interference_covariance(q, precoders, links)
@@ -177,8 +178,8 @@ def mmse_receiver(
 
 
 def mse_sinr(q: int, precoders: np.ndarray, links: LinkMatrices) -> np.ndarray:
-    """Per-stream SINRs out of the MMSE stage: 1/[E]_kk - 1 with
-    E = (I + F^H H^H R^{-1} H F)^{-1}."""
+    """Per-stream SINRs out of the MMSE stage of the rate game: 1/[E]_kk - 1
+    with E = (I + F^H H^H R^{-1} H F)^{-1}."""
     R = interference_covariance(q, precoders, links)
     return _mse_sinr(_whitened_channel(q, precoders[q], links, R)[2])
 
@@ -196,7 +197,8 @@ def gap_rate(
 def qam_gap(pe_target: float) -> float:
     """SNR gap of square M-QAM at a symbol error target.
 
-    Gap = (Qinv(pe/4))^2 / 3, with Qinv the inverse Gaussian tail.
+    Gap = (Qinv(pe/4))^2 / 3, with Qinv the inverse Gaussian tail: the
+    rate game's Gamma under its symbol error probability constraint.
     """
     if not 0 < pe_target < 1:
         raise InvalidInputError("pe_target must lie in (0, 1)")
@@ -271,8 +273,6 @@ def _precoder_stack(
 class DiagonalOptimalityReport:
     """Outcome of the random-precoder dominance experiment."""
 
-    payoff: str
-    samples: int
     violations: int
     max_gap: float
     best_response_value: float
@@ -331,8 +331,6 @@ def verify_diagonal_optimality(
     values = score(_whitened_channel(q, F, links, R)[2])
     excess = values - best_value
     return DiagonalOptimalityReport(
-        payoff=payoff,
-        samples=samples,
         violations=int((excess > tol).sum()),
         max_gap=float(excess.max()),
         best_response_value=best_value,
@@ -341,7 +339,9 @@ def verify_diagonal_optimality(
 
 
 def majorization_leq(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:
-    """True when x is majorized by y (equal totals, prefix dominance)."""
+    """True when x is majorized by y (equal totals, prefix dominance).  The
+    majorization step behind diagonal optimality: a Hermitian matrix's
+    diagonal is majorized by its eigenvalues (Schur)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:

@@ -257,7 +257,6 @@ class ScalarizedResult:
     profile: PowerProfile
     value: float
     restart_values: np.ndarray
-    weights: np.ndarray
 
 
 def solve_scalarized(
@@ -301,9 +300,7 @@ def solve_scalarized(
         values[s] = val
         if val > best_val:
             best_p, best_val = p, val
-    return ScalarizedResult(
-        profile=PowerProfile(best_p), value=best_val, restart_values=values, weights=w
-    )
+    return ScalarizedResult(profile=PowerProfile(best_p), value=best_val, restart_values=values)
 
 
 @dataclass(frozen=True)
@@ -315,7 +312,6 @@ class ModifiedGameResult:
     residual: float
     iterations: int
     converged: bool
-    weights: np.ndarray
 
 
 def solve_modified_game(
@@ -364,7 +360,6 @@ def solve_modified_game(
         residual=residual,
         iterations=iterations,
         converged=converged,
-        weights=w,
     )
 
 
@@ -474,18 +469,3 @@ def minmax_bound(
     p = _worst_opponents(game, q, best_pq, opp0, tol * 0.1, 4 * inner_iters)
     value = float(rate_array(p, game)[q])
     return MinmaxResult(value=value, method="saddle", profile=PowerProfile(p))
-
-
-def low_interference_rate(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
-    """High-SNR / weak-coupling rate approximation (full-support profiles).
-
-    Drops the +1 inside the log of the SINR expression:
-    R_q ~ (1/N) sum_k log2(g_q p_q / Gamma_q / (1 + sum_r c_r p_r)).
-    Requires every user to load every bin; raises otherwise.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if (p <= 0).any():
-        raise InvalidInputError("approximation needs strictly positive power on every bin")
-    direct = game.direct_gain2()
-    ratio = direct * p / (game.Gamma[:, None] * game.interference(p))
-    return np.log(ratio).sum(axis=1) / (game.N * np.log(2.0))

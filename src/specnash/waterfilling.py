@@ -46,14 +46,6 @@ class PowerProfile:
         if self.p.ndim != 2:
             raise InvalidInputError(f"profile must be (Q, N), got shape {self.p.shape}")
 
-    @property
-    def Q(self) -> int:
-        return self.p.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.p.shape[1]
-
     def budget_used(self) -> np.ndarray:
         """Fraction of each user's budget in use, shape (Q,)."""
         return self.p.mean(axis=1)
@@ -281,21 +273,6 @@ def waterfill(inp: WaterfillInput) -> np.ndarray:
     level-clipped allocation with the budget met to 1e-12.
     """
     return waterfill_rows(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)[0]
-
-
-def water_level(inp: WaterfillInput) -> float:
-    """Level mu at which the clipped allocation meets the budget exactly.
-
-    Defined only when the caps admit the budget; raises otherwise.
-    """
-    if _capacity(inp.pmax) < inp.budget * inp.N:
-        raise InvalidInputError("caps sum below budget: the level is undefined (trivial branch)")
-    mu = waterfill_rows(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)[1]
-    if np.isnan(mu):
-        raise InfeasibleWaterfillError(
-            "caps on usable bins cannot absorb the budget; no finite level exists"
-        )
-    return mu
 
 
 def kkt_residual(p: np.ndarray, inp: WaterfillInput, feas_tol: float = 1e-9) -> float:

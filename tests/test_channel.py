@@ -8,7 +8,6 @@ from specnash import (
     UNBOUNDED,
     build_game,
     frequency_response,
-    generate_fir_channel,
     ratio_scenario,
 )
 
@@ -26,32 +25,6 @@ def simple_channel_set(taps, d, P, sigma2, N, gamma=2.0, Gamma=None, pmax_bar=No
         Gamma=np.ones(Q) if Gamma is None else Gamma,
         N=N,
     )
-
-
-class TestGenerateFirChannel:
-    def test_single_tap_unit_mean(self):
-        vals = [abs(generate_fir_channel(s, 0, 1.0)[0]) ** 2 for s in range(4000)]
-        assert abs(np.mean(vals) - 1.0) < 0.05
-
-    def test_energy_moment(self):
-        # Monte Carlo moment oracle: E[sum |taps|^2] = (L+1) * variance = 1.
-        total = 0.0
-        n = 10_000
-        for s in range(n):
-            taps = generate_fir_channel(s, 4, 1.0 / 5.0)
-            total += np.sum(np.abs(taps) ** 2)
-        assert abs(total / n - 1.0) < 0.02
-
-    def test_determinism(self):
-        a = generate_fir_channel(42, 3, 0.5)
-        b = generate_fir_channel(42, 3, 0.5)
-        assert a.tobytes() == b.tobytes()
-
-    def test_bad_parameters(self):
-        with pytest.raises(InvalidInputError):
-            generate_fir_channel(0, -1, 1.0)
-        with pytest.raises(InvalidInputError):
-            generate_fir_channel(0, 1, 0.0)
 
 
 class TestFrequencyResponse:
@@ -84,6 +57,25 @@ class TestFrequencyResponse:
     def test_too_many_taps(self):
         with pytest.raises(InvalidInputError):
             frequency_response(np.ones(5), 4)
+        with pytest.raises(InvalidInputError):
+            frequency_response(np.ones((2, 2, 5)), 4)
+        with pytest.raises(InvalidInputError):
+            frequency_response(np.array(1.0), 4)
+
+    def test_stack_equals_per_link_calls(self):
+        ch = ratio_scenario(3, 16, channel_order=5, seed=4)
+        stacked = frequency_response(ch.taps, ch.N)
+        assert stacked.shape == (3, 3, 16)
+        for r in range(3):
+            for q in range(3):
+                assert stacked[r, q].tobytes() == frequency_response(ch.taps[r, q], 16).tobytes()
+
+    def test_sign_of_the_exponent(self):
+        # 1 + 1j * exp(-2j*pi*k/4) on bins k = 0..3 is 1+1j, 2, 1-1j, 0; the
+        # opposite sign would put the null on bin 1.
+        ch = simple_channel_set([[[1.0, 1j]]], d=np.ones((1, 1)), P=np.ones(1),
+                                sigma2=np.ones(1), N=4)
+        np.testing.assert_allclose(build_game(ch).gain2[0, 0], [2.0, 4.0, 2.0, 0.0], atol=1e-15)
 
 
 class TestBuildGame:
@@ -110,7 +102,8 @@ class TestBuildGame:
             N=4, gamma=2.5,
         )
         game = build_game(ch)
-        fading2 = np.abs(np.fft.fft(taps[0, 0], n=4)) ** 2
+        dft = np.exp(-2j * np.pi * np.outer(np.arange(4), np.arange(2)) / 4)
+        fading2 = np.abs(dft @ taps[0, 0]) ** 2
         np.testing.assert_allclose(game.gain2[0, 0], 10.0 * fading2)
 
     def test_power_scaling_exact(self, rng):
@@ -168,15 +161,17 @@ class TestValidation:
             game.scaled_powers(np.array([1.0, -1.0]))
 
     def test_exponential_profile_energy(self):
-        ch = ratio_scenario(1, 8, channel_order=3, tap_decay=0.5, seed=0)
-        # Normalized power-delay profile: total expected tap energy is 1.
-        total = 0.0
-        n = 3000
-        for s in range(n):
-            c = ratio_scenario(1, 8, channel_order=3, tap_decay=0.5, seed=s)
-            total += np.sum(np.abs(c.taps[0, 0]) ** 2)
-        assert abs(total / n - 1.0) < 0.05
-        assert ch.taps.shape == (1, 1, 4)
+        # Monte Carlo moment oracle for the exponential and the default
+        # uniform power-delay profile: total expected tap energy is 1.
+        for profile in ({"tap_decay": 0.5}, {}):
+            ch = ratio_scenario(1, 8, channel_order=3, seed=0, **profile)
+            total = 0.0
+            n = 3000
+            for s in range(n):
+                c = ratio_scenario(1, 8, channel_order=3, seed=s, **profile)
+                total += np.sum(np.abs(c.taps[0, 0]) ** 2)
+            assert abs(total / n - 1.0) < 0.05, profile
+            assert ch.taps.shape == (1, 1, 4)
 
 
 class TestInterference:

@@ -507,6 +507,50 @@ class TestConfigValidation:
         assert rc == 0
         assert set(json.loads(out.read_text())["conditions"]) == {f"C{i}" for i in range(1, 8)}
 
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("solve", PSD_CFG | {"scenario": {"Q": 2, "N": 4, "snr_db": None, "channel_order": 1}},
+         "snr_db"),
+        ("solve", PSD_CFG | {"scenario": {"Q": 2.7, "N": "4", "channel_order": 1}}, "Q"),
+        ("solve", PSD_CFG | {"scenario": {"Q": 2, "N": "4", "channel_order": 1}}, "N"),
+        ("solve", PSD_CFG | {"scenario": raw_scenario(None) | {"N": 16.0}}, "N"),
+        ("solve", PSD_CFG | {"scenario": raw_scenario(None) | {"gamma": "2.5"}}, "gamma"),
+        ("check-uniqueness", {"seed": 1, "scenario": PSD_CFG["scenario"] | {"gamma": "2.5"}},
+         "gamma"),
+        ("montecarlo", MC_CFG | {"scenario": MC_CFG["scenario"] | {"channel_order": 1.5}},
+         "channel_order"),
+        ("rate-region", REGION_CFGS["asymmetric"] | {"scenario": REGION_SCENARIO | {"Q": None}},
+         "Q"),
+        ("rate-region", REGION_CFGS["channel_order"] | {"scenario": REGION_SCENARIO | {"Q": "2"}},
+         "Q"),
+        ("verify-theorem1", SMALL_CFGS["verify-theorem1"]
+         | {"scenario": SMALL_CFGS["verify-theorem1"]["scenario"] | {"d_ratio": "2"}}, "d_ratio"),
+    ])
+    def test_wrong_scenario_value_type_exit_code(self, tmp_path, capsys, command, cfg, key):
+        # Values inside a scenario block were not type-checked: each of these
+        # printed a TypeError traceback or ran on a coerced value (Q = 2.7 as
+        # 2, N = "4" as 4, N = 16.0 as 16, channel_order = 1.5 as 1).
+        rc, out = self.run(tmp_path, command, cfg)
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
+
+    def test_symmetric_region_rejects_three_users_before_the_grid(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # The split sweep is two-user; a Q = 3 scenario used to fail only
+        # after the grid, the equilibrium and every side-payment solve.
+        import specnash.experiments as experiments_mod
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("Q = 3 rejected only after the grid")
+
+        monkeypatch.setattr(experiments_mod, "sample_rate_region", no_grid)
+        base = SMALL_CFGS["rate-region"]
+        cfg = base | {"lambda_sweep": [[1.0, 1.0, 1.0]], "scenario": base["scenario"] | {"Q": 3}}
+        rc, out = self.run(tmp_path, "rate-region", cfg)
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: total_split sweep is defined for Q = 2")
+
 
 class TestCliContract:
     def test_solve_roundtrip_and_determinism(self, tmp_path):

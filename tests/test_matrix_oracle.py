@@ -371,3 +371,14 @@ class TestFourier:
         D = W.conj().T @ links.H[0, 1] @ W
         off = D - np.diag(np.diag(D))
         assert np.abs(off).max() < 1e-12
+
+    def test_direct_link_is_the_convolution_matrix(self):
+        # Circular convolution with the zero-padded taps: C[i, j] = taps[(i - j) % N].
+        # The opposite DFT sign would give its transpose.
+        ch = ratio_scenario(2, 6, seed=12, channel_order=3)
+        taps = np.zeros(6, dtype=complex)
+        taps[:4] = ch.taps[0, 0]
+        idx = np.arange(6)
+        C = taps[(idx[:, None] - idx[None, :]) % 6]
+        np.testing.assert_allclose(circulant_links(ch).H[0, 0], C, rtol=0, atol=1e-14)
+        assert np.abs(C - C.T).max() > 0.1

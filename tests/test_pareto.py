@@ -20,7 +20,6 @@ from specnash import pareto
 from specnash.channel import NormalizedGame
 from specnash.equilibrium import solve
 from specnash.pareto import (
-    low_interference_rate,
     minmax_bound,
     pareto_filter,
     project_all,
@@ -343,45 +342,6 @@ class TestMinmax:
             s = minmax_bound(game, q, method="saddle", outer_iters=50)
             assert s.value <= g.value + 0.02
             assert s.value >= g.value - 0.05
-
-
-class TestLowInterference:
-    def test_matches_exact_rate_in_regime(self):
-        # inr/snr = 30**-2.5 ~ 2e-4 and snr = 30 dB: per-user error < 1%.
-        ch = ratio_scenario(2, 4, d_ratio=30.0, snr_db=30.0, seed=3, channel_order=2)
-        game = build_game(ch)
-        ne = solve(game, tol=1e-10)
-        p = np.maximum(ne.profile.p, 1e-12)
-        approx = low_interference_rate(p, game)
-        exact = rate_array(p, game)
-        assert (np.abs(approx - exact) / exact).max() < 0.01
-
-    def test_geometric_combination_convexity(self, rng):
-        ch = ratio_scenario(2, 4, d_ratio=20.0, snr_db=25.0, seed=5, channel_order=2)
-        game = build_game(ch)
-        for _ in range(20):
-            a = project_all(rng.uniform(0.2, 1.5, (2, 4)), game)
-            b = project_all(rng.uniform(0.2, 1.5, (2, 4)), game)
-            a = np.maximum(a, 1e-6)
-            b = np.maximum(b, 1e-6)
-            ra, rb = low_interference_rate(a, game), low_interference_rate(b, game)
-            for alpha in (0.25, 0.5, 0.75):
-                combo = a**alpha * b ** (1 - alpha)
-                rc = low_interference_rate(combo, game)
-                assert (rc >= alpha * ra + (1 - alpha) * rb - 1e-9).all()
-
-    def test_alpha_one_reduces(self, rng):
-        ch = ratio_scenario(2, 4, d_ratio=20.0, snr_db=25.0, seed=5, channel_order=2)
-        game = build_game(ch)
-        a = np.maximum(project_all(rng.uniform(0.2, 1.5, (2, 4)), game), 1e-6)
-        np.testing.assert_allclose(
-            low_interference_rate(a**1.0, game), low_interference_rate(a, game)
-        )
-
-    def test_zero_power_rejected(self):
-        game = flat_game(Q=2, coupling=0.1, N=2)
-        with pytest.raises(InvalidInputError):
-            low_interference_rate(np.array([[1.0, 0.0], [1.0, 1.0]]), game)
 
 
 def _ascent_games():

@@ -13,12 +13,16 @@ from specnash import (
     UNBOUNDED,
     WaterfillInput,
     kkt_residual,
-    water_level,
     waterfill,
 )
 from specnash.waterfilling import level_solve, waterfill_rows
 
 INF = UNBOUNDED
+
+
+def level_of(inp):
+    """Water level of one input: NaN on the trivial and saturation branches."""
+    return waterfill_rows(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)[1]
 
 
 def two_bin_oracle(g, i, Gamma, budget, N=2):
@@ -52,27 +56,26 @@ class TestWaterfill:
     def test_flat_uniform(self):
         inp = WaterfillInput(g=[1, 1], i=[1, 1], Gamma=1, pmax=[INF, INF], budget=1)
         np.testing.assert_allclose(waterfill(inp), [1.0, 1.0])
-        assert water_level(inp) == pytest.approx(2.0)
+        assert level_of(inp) == pytest.approx(2.0)
 
     def test_two_bin_closed_form(self):
         inp = WaterfillInput(g=[4, 1], i=[1, 1], Gamma=1, pmax=[INF, INF], budget=1)
         p_ref, mu_ref = two_bin_oracle([4, 1], [1, 1], 1.0, 1.0)
         np.testing.assert_allclose(waterfill(inp), p_ref)
-        assert water_level(inp) == pytest.approx(mu_ref)
+        assert level_of(inp) == pytest.approx(mu_ref)
         assert mu_ref == pytest.approx(1.625)
 
     def test_trivial_mask_branch(self):
         inp = WaterfillInput(g=[1, 1], i=[1, 1], Gamma=1, pmax=[0.5, 0.5], budget=1)
         np.testing.assert_allclose(waterfill(inp), [0.5, 0.5])
-        with pytest.raises(InvalidInputError):
-            water_level(inp)
+        assert np.isnan(level_of(inp))
 
     def test_mask_clipped_bin(self):
         # Piecewise-linear hand oracle: bin 1 saturates at 0.2, so
         # 0.2 + (mu - 1) = 2 gives mu = 2.8 and p = [0.2, 1.8].
         inp = WaterfillInput(g=[10, 1], i=[1, 1], Gamma=1, pmax=[0.2, INF], budget=1)
         np.testing.assert_allclose(waterfill(inp), [0.2, 1.8])
-        assert water_level(inp) == pytest.approx(2.8)
+        assert level_of(inp) == pytest.approx(2.8)
 
     def test_zero_gain_bin_gets_nothing(self):
         inp = WaterfillInput(g=[1, 0, 1], i=[1, 1, 1], Gamma=1, pmax=[INF] * 3, budget=1)
@@ -85,20 +88,19 @@ class TestWaterfill:
         with pytest.raises(InfeasibleWaterfillError):
             waterfill(inp)
         with pytest.raises(InfeasibleWaterfillError):
-            water_level(inp)
+            level_of(inp)
 
     def test_usable_capacity_short_saturates(self):
         # Mask sum admits the budget but only through a dead bin.
         inp = WaterfillInput(g=[1, 0], i=[1, 1], Gamma=1, pmax=[1.0, 3.0], budget=1)
         np.testing.assert_allclose(waterfill(inp), [1.0, 0.0])
-        with pytest.raises(InfeasibleWaterfillError):
-            water_level(inp)
+        assert np.isnan(level_of(inp))
 
     def test_sort_vs_bisect(self, rng):
         for inp in random_inputs(rng, 40, masked=True):
             prices = inp.Gamma * inp.i / inp.g
             ref = oracle_level(prices, inp.pmax, inp.budget * inp.N)
-            assert water_level(inp) == pytest.approx(ref, abs=1e-9)
+            assert level_of(inp) == pytest.approx(ref, abs=1e-9)
 
     def test_budget_tolerance(self, rng):
         for inp in random_inputs(rng, 200) + random_inputs(rng, 200, masked=True):
@@ -119,7 +121,7 @@ class TestWaterfill:
     def test_equal_marginal_property(self, rng):
         for inp in random_inputs(rng, 50, masked=True):
             p = waterfill(inp)
-            mu = water_level(inp)
+            mu = level_of(inp)
             interior = (p > 1e-12) & (p < inp.pmax - 1e-12)
             if interior.any():
                 level = inp.Gamma * inp.i[interior] / inp.g[interior] + p[interior]
@@ -161,15 +163,14 @@ class TestCapacityRule:
         p = waterfill(inp)
         assert p.tobytes() == inp.pmax.tobytes()
         assert kkt_residual(p, inp) == 0.0
-        with pytest.raises(InvalidInputError):
-            water_level(inp)
+        assert np.isnan(level_of(inp))
 
     def test_caps_equal_to_budget(self):
         inp = WaterfillInput(g=[3, 1, 0.2], i=[1, 2, 1], Gamma=1, pmax=[1, 1, 1])
         p = waterfill(inp)
         np.testing.assert_allclose(p, 1.0, rtol=0, atol=1e-15)
         assert kkt_residual(p, inp) <= 1e-12
-        assert np.isfinite(water_level(inp))
+        assert np.isfinite(level_of(inp))
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 64), k=st.integers(-4, 8),
