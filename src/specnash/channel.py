@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .rng import derive_rng
+from .rng import keyed_normals
 
 # Spectral masks default to "no cap" on a bin.
 UNBOUNDED = np.inf
@@ -76,6 +76,8 @@ class ChannelSet:
     def _validate(self):
         if self.taps.ndim != 3 or self.taps.shape[0] != self.taps.shape[1]:
             raise InvalidInputError(f"taps must have shape (Q, Q, L+1), got {self.taps.shape}")
+        if not np.isfinite(self.taps).all():
+            raise InvalidInputError("taps must be finite")
         Q = self.taps.shape[0]
         if Q < 1 or self.N < 1:
             raise InvalidInputError("need Q >= 1 and N >= 1")
@@ -89,9 +91,10 @@ class ChannelSet:
             raise InvalidInputError("P must be (Q,) with positive entries")
         if self.sigma2.shape != (Q,) or not (self.sigma2 > 0).all():
             raise InvalidInputError("sigma2 must be (Q,) with positive entries")
-        if self.pmax_bar.shape != (Q, self.N) or (self.pmax_bar < 0).any():
+        # Written so that NaN fails each test; an infinite cap is UNBOUNDED.
+        if self.pmax_bar.shape != (Q, self.N) or not (self.pmax_bar >= 0).all():
             raise InvalidInputError("pmax_bar must be (Q, N) and nonnegative")
-        if self.Gamma.shape != (Q,) or (self.Gamma < 1).any():
+        if self.Gamma.shape != (Q,) or not (self.Gamma >= 1).all():
             raise InvalidInputError("Gamma must be (Q,) with entries >= 1")
 
 
@@ -117,11 +120,11 @@ class NormalizedGame:
         object.__setattr__(self, "Gamma", np.asarray(self.Gamma, dtype=np.float64))
         if self.gain2.ndim != 3 or self.gain2.shape[0] != self.gain2.shape[1]:
             raise InvalidInputError(f"gain2 must be (Q, Q, N), got {self.gain2.shape}")
-        if (self.gain2 < 0).any():
-            raise InvalidInputError("gain2 must be nonnegative")
-        if self.pmax.shape != (self.Q, self.N) or (self.pmax < 0).any():
+        if not (np.isfinite(self.gain2) & (self.gain2 >= 0)).all():
+            raise InvalidInputError("gain2 must be finite and nonnegative")
+        if self.pmax.shape != (self.Q, self.N) or not (self.pmax >= 0).all():
             raise InvalidInputError("pmax must be (Q, N) and nonnegative")
-        if self.Gamma.shape != (self.Q,) or (self.Gamma < 1).any():
+        if self.Gamma.shape != (self.Q,) or not (self.Gamma >= 1).all():
             raise InvalidInputError("Gamma must be (Q,) with entries >= 1")
         # Kept contiguous: every best response multiplies by them.
         direct = self.gain2.diagonal().T.copy()
@@ -249,14 +252,9 @@ def ratio_scenario(
     else:
         profile = np.full(channel_order + 1, 1.0 / (channel_order + 1))
     key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    taps = np.empty((Q, Q, channel_order + 1), dtype=np.complex128)
-    for r in range(Q):
-        for q in range(Q):
-            rng = derive_rng(*key, r, q)
-            taps[r, q] = np.sqrt(profile / 2.0) * (
-                rng.standard_normal(channel_order + 1)
-                + 1j * rng.standard_normal(channel_order + 1)
-            )
+    z = keyed_normals([key + (r, q) for r in range(Q) for q in range(Q)], (2, channel_order + 1))
+    z = z.reshape(Q, Q, 2, channel_order + 1)
+    taps = np.sqrt(profile / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1])
     snr = 10.0 ** (snr_db / 10.0)
     P = np.full(Q, snr)
     if pmax_bar is None:

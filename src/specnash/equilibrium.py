@@ -83,7 +83,8 @@ def solve(
     from the previous iterate.  The residual is the sup-norm of p - WF(p)
     stacked over users; iteration stops at ``tol`` or ``max_iter``.  The
     game and ``init`` are validated once here; the sweeps then run on raw
-    arrays, each response map as one batched waterfill.
+    arrays, each response map as one batched waterfill.  (Finite gains and
+    NaN-free caps are the game's own invariants.)
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
@@ -91,10 +92,6 @@ def solve(
         raise InvalidInputError(f"unknown schedule {schedule!r}")
     Q = game.Q
     direct = game.direct_gain2()
-    if not np.isfinite(direct).all():
-        raise InvalidInputError("gains must be finite and nonnegative")
-    if np.isnan(game.pmax).any():
-        raise InvalidInputError("pmax must be nonnegative")
     if init is None:
         p = np.minimum(1.0, game.pmax)
     else:

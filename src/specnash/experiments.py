@@ -27,7 +27,8 @@ from .channel import (ChannelSet, UNBOUNDED, build_game, distance_sweep, ratio_d
                       ratio_scenario)
 from .equilibrium import classify_profile, check_allocation_rule, solve
 from .errors import InvalidInputError
-from .matrix_oracle import verify_diagonal_optimality
+# verify_diagonal_optimality stays importable here: bench/tracing.py wraps this site.
+from .matrix_oracle import verify_diagonal_optimality, verify_instance
 from .pareto import (rate_array, sample_rate_region, solve_modified_game, solve_scalarized,
                      total_split_rates)
 from .uniqueness import CONDITION_NAMES, DQ_MODES, check_conditions, check_stack
@@ -447,37 +448,19 @@ def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
     _reject_unknown(f"payoffs (expected {', '.join(_PAYOFFS)})", payoffs, _PAYOFFS)
 
     results = []
-    total_violations = 0
-    worst_gap = -np.inf
     for inst in range(instances):
         ch = scenario_from_config(scen, seed=(root_seed, inst))
-        for q in range(ch.Q):
-            for payoff in payoffs:
-                rep = verify_diagonal_optimality(
-                    ch,
-                    q,
-                    samples=samples,
-                    seed=root_seed * 1000003 + inst * 101 + q,
-                    payoff=payoff,
-                    Gamma=gap_gamma if payoff == "gap" else None,
-                )
-                total_violations += rep.violations
-                worst_gap = max(worst_gap, rep.max_gap)
-                results.append(
-                    {
-                        "instance": inst,
-                        "user": q,
-                        "payoff": payoff,
-                        "violations": rep.violations,
-                        "max_gap": rep.max_gap,
-                        "best_response_value": rep.best_response_value,
-                    }
-                )
+        seeds = [root_seed * 1000003 + inst * 101 + q for q in range(ch.Q)]
+        reports = verify_instance(ch, seeds, samples, payoffs, gap_gamma)
+        pairs = [(q, payoff) for q in range(ch.Q) for payoff in payoffs]
+        results += [{"instance": inst, "user": q, "payoff": payoff, "violations": rep.violations,
+                     "max_gap": rep.max_gap, "best_response_value": rep.best_response_value}
+                    for (q, payoff), rep in zip(pairs, reports)]
     report = {
         "kind": "verify_theorem1",
         "config": cfg,
-        "total_violations": total_violations,
-        "worst_gap": float(worst_gap),
+        "total_violations": sum(r["violations"] for r in results),
+        "worst_gap": float(max(r["max_gap"] for r in results)),
         "results": results,
     }
     _write_json(out_path, report)

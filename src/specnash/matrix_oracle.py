@@ -10,15 +10,14 @@ diagonal response.
 
 Dense linear algebra only, intended for N <= 8.  The sampler, the
 feasibility check and both payoffs work on stacks of precoders of shape
-(..., N, N): one report draws all its samples as one stack, factors them
-with one batched ``eigh`` and ``qr``, and scores them with one batched
-solve against an interference covariance computed once.  The public
-single-precoder functions are the same code on one matrix.
+(..., N, N).  An instance builds its game and links once; each user draws
+its samples as one stack (one batched ``eigh`` and ``qr``) and whitens them
+against its interference covariance once, and every payoff scores that one
+form.  The public single-precoder functions are the same code on one matrix.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from scipy.special import erfcinv
 
 from .channel import ChannelSet, build_game, frequency_response
 from .errors import InvalidInputError, NumericFailureError
-from .rng import derive_rng
+from .rng import keyed_normals
 from .waterfilling import WaterfillInput, waterfill
 
 
@@ -86,8 +85,10 @@ def _feasible(F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray, tol: float) -> 
     """Trace budget and per-bin mask feasibility of (..., N, N) precoders, shape (...)."""
     N = F.shape[-1]
     cov = F @ _hermitian(F)
-    over_budget = np.trace(cov, axis1=-2, axis2=-1).real / N > P_q * (1 + tol)
-    return ~over_budget & (_bin_powers(cov) <= pmax_bar_q * (1 + tol) + tol).all(axis=-1)
+    within_budget = np.trace(cov, axis1=-2, axis2=-1).real / N <= P_q * (1 + tol)  # NaN fails
+    if not np.isfinite(pmax_bar_q).any():  # no mask to check
+        return within_budget
+    return within_budget & (_bin_powers(cov) <= pmax_bar_q * (1 + tol) + tol).all(axis=-1)
 
 
 def precoder_feasible(
@@ -224,7 +225,8 @@ def _feasible_precoders(
     A = (Z[:, 0] + 1j * Z[:, 1]) / np.sqrt(2.0)
     C = A @ _hermitian(A)
     C *= (N * P_q / np.trace(C, axis1=1, axis2=2).real)[:, None, None]
-    bins = _bin_powers(C)
+    # Without a finite cap no draw exceeds its mask; skip the bin powers.
+    bins = _bin_powers(C) if np.isfinite(pmax_bar_q).any() else np.zeros(C.shape[:-1])
     over = bins > pmax_bar_q
     blend = over.any(axis=1)
     if blend.any():
@@ -255,18 +257,10 @@ def random_feasible_precoder(
     return _feasible_precoders(rng.standard_normal((1, 4, N, N)), P_q, pmax_bar_q)[0]
 
 
-@functools.lru_cache(maxsize=1)
-def _precoder_stack(
-    seed: int, samples: int, P_q: float, pmax_bar_q: tuple, N: int
-) -> np.ndarray:
-    """Read-only (samples, N, N) stack; sample s draws from ``derive_rng(seed, s)``.
-
-    The last stack is cached, so the payoffs of one user share one draw.
-    """
-    Z = np.stack([derive_rng(seed, s).standard_normal((4, N, N)) for s in range(samples)])
-    F = _feasible_precoders(Z, P_q, np.array(pmax_bar_q))
-    F.flags.writeable = False
-    return F
+def _precoder_stack(seed: int, samples: int, P_q: float, pmax_bar_q, N: int) -> np.ndarray:
+    """(samples, N, N) random feasible precoders; sample s draws from ``derive_rng(seed, s)``."""
+    Z = keyed_normals([(seed, s) for s in range(samples)], (4, N, N))
+    return _feasible_precoders(Z, P_q, np.asarray(pmax_bar_q, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -277,6 +271,47 @@ class DiagonalOptimalityReport:
     max_gap: float
     best_response_value: float
     values: np.ndarray
+
+
+def _instance(ch: ChannelSet, samples: int, opponents: np.ndarray | None) -> tuple:
+    """Game, links, opponents' profiles and their diagonal precoders of one
+    scenario: built once for all of its (user, payoff) reports."""
+    if ch.N > 8:
+        raise InvalidInputError("oracle is dense-only; N <= 8")
+    if samples < 50:
+        raise InvalidInputError("need at least 50 samples for a meaningful check")
+    game = build_game(ch)
+    opponents = np.asarray(np.minimum(1.0, game.pmax) if opponents is None else opponents,
+                           dtype=np.float64)
+    precoders = np.stack([precoder_from_profile(opponents[r], ch.P[r]) for r in range(ch.Q)])
+    return game, circulant_links(ch), opponents, precoders
+
+
+def _user_reports(ch, instance, q, seed, samples, payoffs, Gamma, tol) -> list:
+    """User q's report under each payoff, all scored on one draw of its
+    precoders and one whitened form F^H H^H R^-1 H F against the opponents."""
+    game, links, opponents, precoders = instance
+    F = _precoder_stack(seed, samples, float(ch.P[q]), ch.pmax_bar[q], ch.N)
+    M = _whitened_channel(q, F, links, interference_covariance(q, precoders, links))[2]
+    i = game.interference(opponents)[q]
+    reports = []
+    for payoff in payoffs:
+        gap = float(ch.Gamma[q] if Gamma is None else Gamma) if payoff == "gap" else 1.0
+        inp = WaterfillInput(g=game.gain2[q, q, :], i=i, Gamma=gap, pmax=game.pmax[q], budget=1.0)
+        own = precoders.copy()
+        own[q] = precoder_from_profile(waterfill(inp), ch.P[q])
+        if payoff == "mutual_information":
+            best_value, values = mutual_information(q, own, links), _log_det_rate(M)
+        elif payoff == "gap":
+            best_value, values = gap_rate(q, own, links, gap), _gap_rate(M, gap)
+        else:
+            raise InvalidInputError(f"unknown payoff {payoff!r}")
+        excess = values - best_value
+        reports.append(DiagonalOptimalityReport(
+            violations=int((excess > tol).sum()), max_gap=float(excess.max()),
+            best_response_value=best_value, values=values,
+        ))
+    return reports
 
 
 def verify_diagonal_optimality(
@@ -297,45 +332,18 @@ def verify_diagonal_optimality(
     it.  Works for both payoffs: exact mutual information and the
     gap-approximation rate (pass Gamma).
     """
-    if ch.N > 8:
-        raise InvalidInputError("oracle is dense-only; N <= 8")
-    if samples < 50:
-        raise InvalidInputError("need at least 50 samples for a meaningful check")
-    game = build_game(ch)
-    links = circulant_links(ch)
-    Q, N = ch.Q, ch.N
-    if opponents is None:
-        opponents = np.minimum(1.0, game.pmax)
-    opponents = np.asarray(opponents, dtype=np.float64)
+    instance = _instance(ch, samples, opponents)
+    return _user_reports(ch, instance, q, seed, samples, [payoff], Gamma, tol)[0]
 
-    gap = 1.0 if payoff == "mutual_information" else float(ch.Gamma[q] if Gamma is None else Gamma)
-    i = game.interference(opponents)[q]
-    p_star = waterfill(
-        WaterfillInput(g=game.gain2[q, q, :], i=i, Gamma=gap, pmax=game.pmax[q], budget=1.0)
-    )
 
-    precoders = np.stack([precoder_from_profile(opponents[r], ch.P[r]) for r in range(Q)])
-    precoders[q] = precoder_from_profile(p_star, ch.P[q])
-
-    if payoff == "mutual_information":
-        best_value = mutual_information(q, precoders, links)
-        score = _log_det_rate
-    elif payoff == "gap":
-        best_value = gap_rate(q, precoders, links, gap)
-        score = lambda M: _gap_rate(M, gap)
-    else:
-        raise InvalidInputError(f"unknown payoff {payoff!r}")
-
-    F = _precoder_stack(seed, samples, float(ch.P[q]), tuple(ch.pmax_bar[q].tolist()), N)
-    R = interference_covariance(q, precoders, links)
-    values = score(_whitened_channel(q, F, links, R)[2])
-    excess = values - best_value
-    return DiagonalOptimalityReport(
-        violations=int((excess > tol).sum()),
-        max_gap=float(excess.max()),
-        best_response_value=best_value,
-        values=values,
-    )
+def verify_instance(ch: ChannelSet, seeds, samples: int, payoffs, Gamma: float) -> list:
+    """``verify_diagonal_optimality`` of every user q (uniform opponents, draws
+    from ``seeds[q]``) under each payoff, the gap one at ``Gamma``, in (user,
+    payoff) order.  The game, the links and each user's draw and whitened
+    form are built once, and every payoff is scored on them."""
+    instance = _instance(ch, samples, None)
+    return [report for q, seed in enumerate(seeds)
+            for report in _user_reports(ch, instance, q, seed, samples, payoffs, Gamma, 1e-9)]
 
 
 def majorization_leq(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:

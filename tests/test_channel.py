@@ -10,6 +10,7 @@ from specnash import (
     frequency_response,
     ratio_scenario,
 )
+from tap_oracle import oracle_taps
 
 
 def simple_channel_set(taps, d, P, sigma2, N, gamma=2.0, Gamma=None, pmax_bar=None):
@@ -130,6 +131,17 @@ class TestBuildGame:
         np.testing.assert_allclose(game.pmax, [[2.0, UNBOUNDED]])
 
 
+class TestRatioScenarioTaps:
+    """One batched draw per scenario equals the per-link stream loop."""
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 + 3, 2**64 + 1, (7, 2), (2**40, 3, 1), [4, 0]])
+    @pytest.mark.parametrize("Q,L", [(1, 0), (2, 2), (3, 6), (5, 6)])
+    @pytest.mark.parametrize("profile", [{}, {"tap_variance": 0.3}, {"tap_decay": 1.7}])
+    def test_taps_match_per_link_oracle(self, seed, Q, L, profile):
+        ch = ratio_scenario(Q, 8, channel_order=L, seed=seed, **profile)
+        assert ch.taps.tobytes() == oracle_taps(Q, L, seed, **profile).tobytes()
+
+
 class TestValidation:
     def test_channel_set_invariants(self):
         taps = np.ones((2, 2, 1), dtype=np.complex128)
@@ -145,6 +157,24 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             simple_channel_set(np.ones((2, 2, 3), dtype=complex), np.ones((2, 2)),
                                np.ones(2), np.ones(2), N=2)
+
+    def test_nan_and_infinite_values(self):
+        # NaN fails every comparison, so each check is written to fail on it;
+        # an infinite cap stays legal (UNBOUNDED), an infinite tap not.
+        taps = np.ones((2, 2, 1), dtype=np.complex128)
+        args = (np.ones((2, 2)), np.ones(2), np.ones(2))
+        for bad_taps in (np.nan, np.inf, complex(0.0, np.nan)):
+            with pytest.raises(InvalidInputError, match="taps"):
+                simple_channel_set(np.full((2, 2, 1), bad_taps), *args, N=2)
+        with pytest.raises(InvalidInputError, match="Gamma"):
+            simple_channel_set(taps, *args, N=2, Gamma=np.array([np.nan, 1.0]))
+        with pytest.raises(InvalidInputError, match="pmax_bar"):
+            simple_channel_set(taps, *args, N=2, pmax_bar=np.array([[1.0, np.nan], [1.0, 1.0]]))
+        simple_channel_set(taps, *args, N=2, pmax_bar=np.full((2, 2), UNBOUNDED))
+        # NaN and infinite gains and NaN caps of a game: tests/test_equilibrium.py.
+        with pytest.raises(InvalidInputError, match="Gamma"):
+            NormalizedGame(gain2=np.ones((2, 2, 2)), pmax=np.full((2, 2), UNBOUNDED),
+                           Gamma=np.array([1.0, np.nan]))
 
     def test_ratio_scenario_distance_matrix(self):
         d = np.array([[1.0, 5.0], [2.0, 1.0]])

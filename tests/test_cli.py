@@ -681,6 +681,29 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown ratio scenario keys") and next(iter(extra)) in err
 
+    @pytest.mark.parametrize("command", ["solve", "check-uniqueness"])
+    @pytest.mark.parametrize("field", ["Gamma", "taps", "pmax_bar"])
+    def test_nan_scenario_value_exit_code(self, tmp_path, capsys, command, field):
+        # JSON null in a number array reads as NaN, and so does the literal
+        # NaN that Python's json accepts.  Every comparison with NaN is
+        # False, so these used to pass validation: a NaN tap or cap gave a
+        # check-uniqueness report with exit 0, a NaN Gamma an eigen-solve
+        # failure (exit 3) or a message naming the interference factors.
+        scen = raw_scenario(pmax_bar=[[10.0] * 16, [10.0] * 16])
+        if field == "Gamma":
+            scen["Gamma"] = [None, 1.0]
+        elif field == "taps":
+            scen["taps"][0][1][0] = [None, 0.0]
+        else:
+            scen["pmax_bar"][1][3] = float("nan")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": 1, "scenario": scen}))
+        out = tmp_path / "x.out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be ")
+
     def test_unknown_raw_scenario_key_exit_code(self, tmp_path, capsys):
         cfg = {"seed": 1, "scenario": raw_scenario(pmax_bar=None) | {"Q": 2}}
         cfg_path = tmp_path / "cfg.json"

@@ -210,22 +210,19 @@ class TestSolve:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_non_finite_direct_gain(self, value):
-        # The direct gains are validated once on entry, not per waterfill.
+        # The gains are validated once, when the game is built; `solve`
+        # relies on that invariant and never sees them.
         gain2 = flat_game(Q=2, coupling=0.2, N=3).gain2.copy()
         gain2[1, 1, 2] = value
-        game = NormalizedGame(gain2=gain2, pmax=np.full((2, 3), UNBOUNDED), Gamma=np.ones(2))
-        for schedule in ("sequential", "simultaneous"):
-            with pytest.raises(InvalidInputError, match="gains"):
-                solve(game, schedule)
+        with pytest.raises(InvalidInputError, match="gain2 must be finite"):
+            NormalizedGame(gain2=gain2, pmax=np.full((2, 3), UNBOUNDED), Gamma=np.ones(2))
 
     def test_rejects_nan_cap(self):
         pmax = np.full((2, 3), 2.0)
         pmax[0, 1] = np.nan
-        game = NormalizedGame(gain2=flat_game(Q=2, coupling=0.2, N=3).gain2, pmax=pmax,
-                              Gamma=np.ones(2))
-        for schedule in ("sequential", "simultaneous"):
-            with pytest.raises(InvalidInputError, match="pmax"):
-                solve(game, schedule)
+        with pytest.raises(InvalidInputError, match="pmax"):
+            NormalizedGame(gain2=flat_game(Q=2, coupling=0.2, N=3).gain2, pmax=pmax,
+                           Gamma=np.ones(2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_init(self, value):
@@ -237,13 +234,15 @@ class TestSolve:
                 solve(game, schedule, init=init)
 
     def test_rejects_non_finite_interference(self):
-        # An infinite cross gain makes the interference map non-finite.
+        # A finite cross gain whose product with the power overflows makes
+        # the interference map non-finite (an infinite gain cannot be built).
         gain2 = flat_game(Q=2, coupling=0.2, N=3).gain2.copy()
-        gain2[0, 1, 0] = np.inf
+        gain2[0, 1, 0] = np.finfo(np.float64).max
         game = NormalizedGame(gain2=gain2, pmax=np.full((2, 3), UNBOUNDED), Gamma=np.ones(2))
+        init = np.array([[3.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         for schedule in ("sequential", "simultaneous"):
             with pytest.raises(InvalidInputError, match="interference"):
-                solve(game, schedule)
+                solve(game, schedule, init=init)
 
     def test_bad_args(self):
         game = flat_game()

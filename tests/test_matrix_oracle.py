@@ -24,6 +24,7 @@ from specnash.matrix_oracle import (
     qam_gap,
     random_feasible_precoder,
     verify_diagonal_optimality,
+    verify_instance,
 )
 from specnash.pareto import rate_array
 from specnash.rng import derive_rng
@@ -203,6 +204,18 @@ class TestSampler:
         b = random_feasible_precoder(np.random.default_rng(9), 1.0, np.full(4, UNBOUNDED), 4)
         assert a.tobytes() == b.tobytes()
 
+    def test_unbounded_mask_checks_budget_and_nan(self):
+        # Without a finite cap the bin powers are skipped; the trace test
+        # must then reject an over-budget and a NaN precoder by itself.
+        unbounded = np.full(4, UNBOUNDED)
+        F = random_feasible_precoder(np.random.default_rng(4), 2.0, unbounded, 4)
+        assert precoder_feasible(F, 2.0, unbounded)
+        assert not precoder_feasible(1.01 * F, 2.0, unbounded)
+        bad = F.copy()
+        bad[1, 2] = np.nan
+        assert not precoder_feasible(bad, 2.0, unbounded)
+        assert not precoder_feasible(bad, 2.0, np.full(4, 1e9))
+
     def test_profile_precoder_feasibility(self):
         ch = scenario(seed=1)
         F = precoder_from_profile(np.ones(4), ch.P[0])
@@ -307,23 +320,61 @@ class TestStackedOracle:
             got = random_feasible_precoder(np.random.default_rng(s), 2.0, pmax_bar, 4)
             assert got.tobytes() == ref.tobytes()
 
-    def test_stack_is_read_only(self):
-        F = _precoder_stack(3, 5, 1.0, (UNBOUNDED,) * 4, 4)
-        assert not F.flags.writeable
-        with pytest.raises(ValueError):
-            F[0, 0, 0] = 0.0
+    def test_driver_draws_once_per_instance_and_user(self, tmp_path, monkeypatch):
+        import specnash.matrix_oracle as oracle_mod
 
-    def test_driver_draws_once_per_instance_and_user(self, tmp_path):
+        calls = {name: 0 for name in ("_precoder_stack", "build_game", "circulant_links")}
+
+        def counting(name):
+            fn = getattr(oracle_mod, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(oracle_mod, name, counting(name))
         cfg = {
             "seed": 2, "instances": 2, "samples": 50,
             "payoffs": ["mutual_information", "gap"],
             "scenario": {"Q": 2, "N": 4, "gamma": 2.5, "snr_db": 8.0, "Gamma": 1.0,
                          "channel_order": 2, "d_ratio": 2.0},
         }
-        _precoder_stack.cache_clear()
         run_verify_theorem1(cfg, str(tmp_path / "t1.json"))
-        info = _precoder_stack.cache_info()
-        assert (info.misses, info.hits) == (4, 4)
+        # One draw per (instance, user); one game and one set of links per instance.
+        assert calls == {"_precoder_stack": 4, "build_game": 2, "circulant_links": 2}
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("Q", [2, 3])
+    def test_instance_reports_match_single_reports_and_oracle(self, Q, masked):
+        N, seed, samples = 4, 40 + Q, 50
+        ch = masked_scenario(Q, N, seed) if masked else scenario(Q, N, seed=seed, d_ratio=1.5)
+        seeds = [2**33 + 7 * q for q in range(Q)]
+        payoffs = ["mutual_information", "gap"]
+        reports = verify_instance(ch, seeds, samples, payoffs, 2.5)
+        assert len(reports) == Q * len(payoffs)
+        pairs = [(q, payoff) for q in range(Q) for payoff in payoffs]
+        for (q, payoff), rep in zip(pairs, reports):
+            Gamma = 2.5 if payoff == "gap" else None
+            one = verify_diagonal_optimality(ch, q, samples=samples, seed=seeds[q],
+                                             payoff=payoff, Gamma=Gamma)
+            values, max_gap, violations, best, _ = oracle_verify(
+                ch, q, samples, seeds[q], payoff, Gamma
+            )
+            for ref_values, ref in ((one.values, (one.max_gap, one.violations,
+                                                  one.best_response_value)),
+                                    (values, (max_gap, violations, best))):
+                assert rep.values.tobytes() == ref_values.tobytes()
+                assert (rep.max_gap, rep.violations, rep.best_response_value) == ref
+
+    def test_instance_guards(self):
+        with pytest.raises(InvalidInputError):
+            verify_instance(scenario(seed=1, N=16), [0, 1], 60, ["gap"], 3.0)
+        with pytest.raises(InvalidInputError):
+            verify_instance(scenario(seed=1), [0, 1], 10, ["gap"], 3.0)
+        with pytest.raises(InvalidInputError):
+            verify_instance(scenario(seed=1), [0, 1], 60, ["capacity"], 3.0)
 
 
 class TestMajorization:
