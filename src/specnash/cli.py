@@ -30,41 +30,41 @@ from .experiments import (
 )
 
 
-def _load_config(path: str, seed_override) -> dict:
-    with open(path) as fh:
+def _load_config(args, default_out: str) -> tuple[dict, str]:
+    """The config object (seed overridden by ``--seed``) and the output path."""
+    with open(args.config) as fh:
         cfg = json.load(fh)
-    if seed_override is not None:
-        cfg["seed"] = seed_override
-    return cfg
+    if not isinstance(cfg, dict):
+        raise InvalidInputError(f"config must be a JSON object, got {type(cfg).__name__}")
+    if not isinstance(cfg.get("out", ""), str):
+        raise InvalidInputError(f"config key 'out' must be a JSON string, got {cfg['out']!r}")
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    return cfg, args.out or cfg.get("out", default_out)
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    run_psd(cfg, args.out or cfg.get("out", "psd.csv"))
+    run_psd(*_load_config(args, "psd.csv"))
     return 0
 
 
 def _cmd_check_uniqueness(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    run_check_uniqueness(cfg, args.out or cfg.get("out", "uniqueness.json"))
+    run_check_uniqueness(*_load_config(args, "uniqueness.json"))
     return 0
 
 
 def _cmd_montecarlo(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    run_uniqueness_mc(cfg, args.out or cfg.get("out", "uniqueness_mc.csv"), workers=args.workers)
+    run_uniqueness_mc(*_load_config(args, "uniqueness_mc.csv"), workers=args.workers)
     return 0
 
 
 def _cmd_rate_region(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    run_rate_region(cfg, args.out or cfg.get("out", "rate_region.csv"))
+    run_rate_region(*_load_config(args, "rate_region.csv"))
     return 0
 
 
 def _cmd_verify_theorem1(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    report = run_verify_theorem1(cfg, args.out or cfg.get("out", "theorem1.json"))
+    report = run_verify_theorem1(*_load_config(args, "theorem1.json"))
     if report["total_violations"] > 0:
         print(
             f"diagonal-optimality violations: {report['total_violations']}",

@@ -151,15 +151,13 @@ def mutual_information(q: int, precoders: np.ndarray, links: LinkMatrices) -> fl
     return float(_log_det_rate(_whitened_channel(q, precoders[q], links, R)[2]))
 
 
-def mmse_receiver(
-    q: int, precoders: np.ndarray, links: LinkMatrices, verify: bool = True
-) -> np.ndarray:
+def mmse_receiver(q: int, precoders: np.ndarray, links: LinkMatrices) -> np.ndarray:
     """Wiener receive filter G for user q.
 
     G = R^{-1} H F (I + F^H H^H R^{-1} H F)^{-1}: the MMSE stage of the
-    rate game's receiver.  With verify=True the capacity-losslessness
-    identity is recomputed through G and must match the direct mutual
-    information to 1e-9.
+    rate game's receiver.  The capacity-losslessness identity is
+    recomputed through G and must match the direct mutual information to
+    1e-9.
     """
     N = links.N
     R = interference_covariance(q, precoders, links)
@@ -167,14 +165,13 @@ def mmse_receiver(
     G = RinvHF @ np.linalg.inv(np.eye(N) + M)
     if not np.isfinite(G).all():
         raise NumericFailureError("non-finite MMSE receiver")
-    if verify:
-        GH_HF = G.conj().T @ HF
-        GRG = G.conj().T @ R @ G
-        inner = GH_HF.conj().T @ np.linalg.pinv(GRG) @ GH_HF
-        sign, logdet = np.linalg.slogdet(np.eye(N) + inner)
-        direct = _log_det_rate(M) * (N * np.log(2.0))
-        if sign.real <= 0 or abs(logdet - direct) > 1e-9 * max(1.0, abs(direct)):
-            raise NumericFailureError("MMSE filter is not capacity-lossless")
+    GH_HF = G.conj().T @ HF
+    GRG = G.conj().T @ R @ G
+    inner = GH_HF.conj().T @ np.linalg.pinv(GRG) @ GH_HF
+    sign, logdet = np.linalg.slogdet(np.eye(N) + inner)
+    direct = _log_det_rate(M) * (N * np.log(2.0))
+    if sign.real <= 0 or abs(logdet - direct) > 1e-9 * max(1.0, abs(direct)):
+        raise NumericFailureError("MMSE filter is not capacity-lossless")
     return G
 
 

@@ -365,107 +365,43 @@ def solve_modified_game(
 
 @dataclass(frozen=True)
 class MinmaxResult:
-    """Certified lower bound on the rate a user can secure."""
+    """Max-min rate a user can secure: closed form, or a grid estimate."""
 
     value: float
     method: str
     profile: PowerProfile
 
 
-def _worst_opponents(
-    game: NormalizedGame, q: int, p_q: np.ndarray, p0: np.ndarray, tol: float, max_iter: int
-) -> np.ndarray:
-    """Opponent profile minimizing user q's rate at fixed p_q (convex).
-
-    Ascends the negated rate; row q's zeroed gradient keeps p_q in place.
-    """
-    p = p0.copy()
-    p[q] = p_q
-
-    def value(x):
-        return -float(rate_array(x, game)[q])
-
-    def gradient(x):
-        g = -rate_gradient(x, game, q)
-        g[q] = 0.0
-        return g
-
-    def project(x):
-        return np.stack(
-            [x[r] if r == q else project_profile(x[r], game.pmax[r]) for r in range(game.Q)]
-        )
-
-    for _, (p, _, move) in zip(range(max_iter), _ascent(value, gradient, project, p, 1.0)):
-        if move <= tol:
-            break
-    return p
-
-
-def minmax_bound(
-    game: NormalizedGame,
-    q: int,
-    method: str = "auto",
-    grid: int = 64,
-    outer_iters: int = 80,
-    inner_iters: int = 400,
-    tol: float = 1e-9,
-) -> MinmaxResult:
+def minmax_bound(game: NormalizedGame, q: int, grid: int = 64) -> MinmaxResult:
     """Max over own powers of the min over opponents of user q's rate.
 
-    The inner problem is convex in the opponents (solved by projected
-    descent); the outer concave problem is ascended with supergradients.
-    The returned value is always a certified lower bound: it is the inner
-    minimum evaluated at a fixed own profile.  Desk-scale games can use an
-    exhaustive grid instead ("grid"); with no interferers the bound is the
-    single-user waterfilling rate ("closed_form").
+    With no interferer (Q = 1 or zero cross gains into q) the value is the
+    single-user waterfilling rate ("closed_form"), at any size.  Otherwise
+    every user's full-budget face is gridded at resolution ``grid`` and
+    the max-min is taken over the grid ("grid"), for desk-scale games
+    (Q*N <= 6) only.  Gridding the opponents can miss their exact inner
+    minimum, so the grid value may sit slightly above the inner minimum at
+    the returned own profile: it is an estimate, not a certified lower
+    bound, and it tightens as ``grid`` grows.
     """
     Q, N = game.Q, game.N
-    direct = game.gain2[q, q, :]
-    cross_present = any(
-        game.gain2[r, q, :].max() > 0 for r in range(Q) if r != q
-    )
-    solo = waterfill(
-        WaterfillInput(g=direct, i=np.ones(N), Gamma=game.Gamma[q], pmax=game.pmax[q], budget=1.0)
-    )
-    if Q == 1 or not cross_present:
+    if not any(game.gain2[r, q, :].max() > 0 for r in range(Q) if r != q):
         p = np.zeros((Q, N))
-        p[q] = solo
+        p[q] = waterfill(WaterfillInput(
+            g=game.gain2[q, q, :], i=np.ones(N), Gamma=game.Gamma[q], pmax=game.pmax[q], budget=1.0
+        ))
         return MinmaxResult(
             value=float(rate_array(p, game)[q]),
             method="closed_form",
             profile=PowerProfile(p),
         )
-
-    if method == "auto":
-        method = "grid" if Q * N <= 6 else "saddle"
-    if method == "grid":
-        if Q * N > 6:
-            raise InvalidInputError("grid minmax is desk-scale only (Q*N <= 6)")
-        grids = [_budget_face_grid(game.pmax[r], grid) for r in range(Q)]
-        R = _grid_rates(game, grids, q)
-        axes = tuple(r for r in range(Q) if r != q)
-        inner = R.min(axis=axes) if axes else R
-        j = int(inner.argmax())
-        p = np.zeros((Q, N))
-        p[q] = grids[q][j]
-        return MinmaxResult(
-            value=float(inner[j]), method="grid", profile=PowerProfile(p)
-        )
-    if method != "saddle":
-        raise InvalidInputError(f"unknown method {method!r}")
-
-    p_q = solo.copy()
-    opp0 = np.minimum(1.0, game.pmax)
-    best_val, best_pq = -np.inf, p_q.copy()
-    for t in range(1, outer_iters + 1):
-        p = _worst_opponents(game, q, p_q, opp0, tol, inner_iters)
-        val = float(rate_array(p, game)[q])
-        if val > best_val:
-            best_val, best_pq = val, p_q.copy()
-        grad_own = rate_gradient(p, game, q)[q]
-        p_q = project_profile(p_q + (0.5 / np.sqrt(t)) * grad_own, game.pmax[q])
-        opp0 = p
-    # Certify the best candidate with a tighter inner solve.
-    p = _worst_opponents(game, q, best_pq, opp0, tol * 0.1, 4 * inner_iters)
-    value = float(rate_array(p, game)[q])
-    return MinmaxResult(value=value, method="saddle", profile=PowerProfile(p))
+    if Q * N > 6:
+        raise InvalidInputError("grid minmax is desk-scale only (Q*N <= 6)")
+    grids = [_budget_face_grid(game.pmax[r], grid) for r in range(Q)]
+    R = _grid_rates(game, grids, q)
+    axes = tuple(r for r in range(Q) if r != q)
+    inner = R.min(axis=axes)
+    j = int(inner.argmax())
+    p = np.zeros((Q, N))
+    p[q] = grids[q][j]
+    return MinmaxResult(value=float(inner[j]), method="grid", profile=PowerProfile(p))

@@ -1,28 +1,20 @@
 """Projected-gradient loops as written before ``pareto._ascent`` existed.
 
-``pareto`` now runs one ascent generator for the weighted-sum optimum, the
-side-payment game and the inner minimization of the max-min bound.  The
-three loops it replaced are kept here verbatim, wrapped in the outer code
-of their callers, so the tests can assert the generator reproduces their
-iterates bit for bit.  They share no code with ``pareto._ascent``.  The
-weighted-sum gradient is kept as it was too, one ``rate_gradient`` call
-(and one interference map) per user, and the side-payment loop evaluates
-it twice per iteration as before.
+``pareto`` now runs one ascent generator for the weighted-sum optimum and
+the side-payment game.  The two loops it replaced are kept here verbatim,
+wrapped in the outer code of their callers, so the tests can assert the
+generator reproduces their iterates bit for bit.  They share no code with
+``pareto._ascent``.  The weighted-sum gradient is kept as it was too, one
+``rate_gradient`` call (and one interference map) per user, and the
+side-payment loop evaluates it twice per iteration as before.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from specnash.pareto import (
-    project_all,
-    project_profile,
-    random_feasible_profile,
-    rate_array,
-    rate_gradient,
-)
+from specnash.pareto import project_all, random_feasible_profile, rate_array, rate_gradient
 from specnash.rng import derive_rng
-from specnash.waterfilling import WaterfillInput, waterfill
 
 
 def scalarized_gradient(p, game, weights):
@@ -117,56 +109,3 @@ def oracle_modified_game(game, w, step, tol, max_iter):
             converged = True
             break
     return p, residual, iterations, converged
-
-
-def _worst_opponents(game, q, p_q, p0, tol, max_iter):
-    """Opponent profile minimizing user q's rate at fixed p_q (convex)."""
-    others = [r for r in range(game.Q) if r != q]
-    p = p0.copy()
-    p[q] = p_q
-
-    def value(x):
-        return float(rate_array(x, game)[q])
-
-    val = value(p)
-    alpha = 1.0
-    for _ in range(max_iter):
-        grad = rate_gradient(p, game, q)
-        cand = p.copy()
-        while True:
-            for r in others:
-                cand[r] = project_profile(p[r] - alpha * grad[r], game.pmax[r])
-            cand_val = value(cand)
-            if cand_val <= val + 1e-14:
-                break
-            alpha *= 0.5
-            if alpha < 1e-13:
-                cand, cand_val = p, val
-                break
-        move = float(max(np.abs(cand[r] - p[r]).max() for r in others))
-        p, val = cand, cand_val
-        alpha = min(1.0, alpha * 1.8)
-        if move <= tol:
-            break
-    return p
-
-
-def oracle_minmax_saddle(game, q, outer_iters, inner_iters, tol):
-    """(value, profile) of the supergradient saddle search for user q."""
-    N = game.N
-    p_q = waterfill(
-        WaterfillInput(g=game.gain2[q, q, :], i=np.ones(N), Gamma=game.Gamma[q],
-                       pmax=game.pmax[q], budget=1.0)
-    )
-    opp0 = np.minimum(1.0, game.pmax)
-    best_val, best_pq = -np.inf, p_q.copy()
-    for t in range(1, outer_iters + 1):
-        p = _worst_opponents(game, q, p_q, opp0, tol, inner_iters)
-        val = float(rate_array(p, game)[q])
-        if val > best_val:
-            best_val, best_pq = val, p_q.copy()
-        grad_own = rate_gradient(p, game, q)[q]
-        p_q = project_profile(p_q + (0.5 / np.sqrt(t)) * grad_own, game.pmax[q])
-        opp0 = p
-    p = _worst_opponents(game, q, best_pq, opp0, tol * 0.1, 4 * inner_iters)
-    return float(rate_array(p, game)[q]), p

@@ -309,7 +309,7 @@ def test_criterion_07_pareto_sandwich():
         assert res.converged
         ne = rate_array(res.profile.p, game)
         for q in range(2):
-            mm = minmax_bound(game, q, method="grid", grid=96)
+            mm = minmax_bound(game, q, grid=96)
             if mm.value > ne[q] + 1e-6:
                 sandwich_ok = False
         region = sample_rate_region(game, resolution=21)

@@ -474,6 +474,29 @@ class TestConfigValidation:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
 
+    @pytest.mark.parametrize("command", sorted(SMALL_CFGS))
+    @pytest.mark.parametrize("top,seed", [([1, 2], []), ("x", ["--seed", "3"])])
+    def test_non_object_config_exit_code(self, tmp_path, capsys, no_channel, command, top, seed):
+        # [1, 2] raised AttributeError under solve and rate-region and read as
+        # the unknown keys "1, 2" under montecarlo; "x" with --seed raised a
+        # TypeError on every command.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(top))
+        out = tmp_path / "x.out"
+        assert main([command, "--config", str(cfg_path), "--out", str(out), *seed]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object, got ")
+
+    @pytest.mark.parametrize("command", sorted(SMALL_CFGS))
+    def test_non_string_out_exit_code(self, tmp_path, monkeypatch, capsys, no_channel, command):
+        # "out": true opened file descriptor 1 (stdout) as the output file,
+        # closed it, then raised a TypeError writing the meta sidecar.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(SMALL_CFGS[command] | {"out": True}))
+        assert main([command, "--config", "cfg.json"]) == 1
+        assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
+        assert capsys.readouterr().err.startswith("error: config key 'out' must be a JSON string")
+
     @pytest.mark.parametrize("command,cfg,named", [
         ("rate-region", SMALL_CFGS["rate-region"] | {"resolutoin": 4}, "resolutoin"),
         ("rate-region", SMALL_CFGS["rate-region"] | {"seeds": 3}, "seeds"),

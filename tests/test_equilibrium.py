@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import flat_game, high_interference_game, random_c1_game
 from equilibrium_oracle import oracle_solve
@@ -22,8 +23,8 @@ from specnash.equilibrium import (
     orthogonal_profile,
     solve,
 )
-from specnash.pareto import rate_array, random_feasible_profile
-from specnash.uniqueness import check_conditions
+from specnash.pareto import project_all, rate_array, random_feasible_profile
+from specnash.uniqueness import check_conditions, coupling_stack
 from specnash.waterfilling import waterfill_rows
 
 
@@ -92,6 +93,48 @@ class TestBestResponse:
         br = best_response(0, p, game)
         # mu from budget: clip(mu - 3/4) + clip(mu - 1) = 2 -> mu = 1.875.
         np.testing.assert_allclose(br, [1.125, 0.875])
+
+
+@st.composite
+def displacement_cases(draw):
+    """(game, seed): Q 2-5 users, N in {2, 4, 8, 64}; half cap 30% of the bins."""
+    Q = draw(st.integers(2, 5))
+    N = draw(st.sampled_from([2, 4, 8, 64]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    snr_db = draw(st.floats(-5.0, 20.0))
+    pmax_bar = None
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        pmax_bar = np.where(rng.random((Q, N)) < 0.3,
+                            10.0 ** (snr_db / 10.0) * rng.uniform(0.3, 3.0, (Q, N)), UNBOUNDED)
+    ch = ratio_scenario(Q, N, d_ratio=draw(st.floats(0.5, 4.0)), snr_db=snr_db,
+                        Gamma=draw(st.floats(1.0, 3.0)), channel_order=min(N - 1, 4),
+                        seed=seed, pmax_bar=pmax_bar)
+    return build_game(ch), seed
+
+
+class TestDisplacementBound:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=displacement_cases())
+    def test_best_response_moves_at_most_by_hmax(self, case):
+        # Waterfilling is the projection of -Gamma_q i_q / g_q onto user q's
+        # strategy set, so ||BR_q(p) - BR_q(p')||_2 is at most
+        # sum_r Hmax[q, r] ||p_r - p'_r||_2 with Hmax the coupling matrix
+        # maximised over all bins: the matrix the C2 certificate bounds.
+        game, seed = case
+        rng = np.random.default_rng(seed)
+        Hmax = coupling_stack(game, np.ones((game.Q, game.N), dtype=bool)).max(axis=0)
+        for pair in range(6):
+            p = random_feasible_profile(game, rng, sparse=pair % 2 == 0)
+            if pair < 3:
+                p2 = random_feasible_profile(game, rng, sparse=pair % 2 == 1)
+            else:
+                p2 = project_all(p + 1e-3 * rng.standard_normal(p.shape), game)
+            moves = np.linalg.norm(p - p2, axis=1)
+            for q in range(game.Q):
+                lhs = np.linalg.norm(best_response(q, p, game) - best_response(q, p2, game))
+                rhs = float(Hmax[q] @ moves)
+                assert lhs <= rhs * (1.0 + 1e-9) + 1e-12
 
 
 class TestSolve:

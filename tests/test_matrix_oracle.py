@@ -109,7 +109,7 @@ class TestMmseReceiver:
         assert mmse_receiver(0, F, links)[0, 0] == pytest.approx(ref, rel=1e-12)
 
     def test_lossless_on_random_instances(self, rng):
-        # verify=True recomputes the mutual information through G and
+        # mmse_receiver recomputes the mutual information through G and
         # raises beyond 1e-9; exercising it on random precoders is the test.
         for s in range(50):
             ch = scenario(seed=s)
@@ -117,7 +117,7 @@ class TestMmseReceiver:
             F = diagonal_precoders(ch, np.ones((2, 4)))
             F[0] = random_feasible_precoder(np.random.default_rng(s), ch.P[0],
                                             ch.pmax_bar[0], 4)
-            mmse_receiver(0, F, links, verify=True)
+            mmse_receiver(0, F, links)
 
 
 class TestMseSinr:

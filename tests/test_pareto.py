@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import ascent_oracle
-from ascent_oracle import oracle_minmax_saddle, oracle_modified_game, oracle_scalarized
+from ascent_oracle import oracle_modified_game, oracle_scalarized
 from conftest import flat_game, random_c1_game
 from grid_oracle import oracle_box_simplex_grid
 from level_oracle import oracle_project
@@ -314,35 +314,36 @@ class TestMinmax:
         assert mm.value == pytest.approx(ref, abs=1e-9)
 
     def test_zero_cross_gain_adversary_is_harmless(self):
-        gain2 = np.zeros((2, 2, 2))
-        gain2[0, 0] = [2.0, 1.0]
-        gain2[1, 1] = [1.0, 1.0]
-        gain2[0, 1] = [0.4, 0.4]  # user 0 interferes with 1, not vice versa
-        game = NormalizedGame(gain2=gain2, pmax=np.full((2, 2), UNBOUNDED), Gamma=np.ones(2))
-        mm = minmax_bound(game, 0)
-        solo = np.stack([
-            waterfill(WaterfillInput(g=gain2[0, 0], i=np.ones(2), Gamma=1.0,
-                                     pmax=game.pmax[0])),
-            np.zeros(2),
-        ])
-        assert mm.value == pytest.approx(rate_array(solo, game)[0], abs=1e-9)
+        # N = 8 is past the grid's desk scale: the closed form holds at any size.
+        for direct in ([2.0, 1.0], np.linspace(0.5, 2.0, 8)):
+            N = len(direct)
+            gain2 = np.zeros((2, 2, N))
+            gain2[0, 0] = direct
+            gain2[1, 1] = 1.0
+            gain2[0, 1] = 0.4  # user 0 interferes with 1, not vice versa
+            game = NormalizedGame(gain2=gain2, pmax=np.full((2, N), UNBOUNDED), Gamma=np.ones(2))
+            mm = minmax_bound(game, 0)
+            solo = np.stack([
+                waterfill(WaterfillInput(g=gain2[0, 0], i=np.ones(N), Gamma=1.0,
+                                         pmax=game.pmax[0])),
+                np.zeros(N),
+            ])
+            assert mm.method == "closed_form"
+            assert mm.value == pytest.approx(rate_array(solo, game)[0], abs=1e-9)
 
     def test_grid_bound_below_equilibrium(self):
         for seed in (0, 1, 2):
             game, _, _ = random_c1_game(seed=seed)
             ne_rates = rate_array(solve(game, tol=1e-10).profile.p, game)
             for q in range(2):
-                mm = minmax_bound(game, q, method="grid", grid=96)
+                mm = minmax_bound(game, q, grid=96)
+                assert mm.method == "grid"
                 assert mm.value <= ne_rates[q] + 1e-6
 
-    def test_saddle_matches_grid(self):
-        game, _, _ = random_c1_game(seed=6)
-        for q in range(2):
-            g = minmax_bound(game, q, method="grid", grid=128)
-            s = minmax_bound(game, q, method="saddle", outer_iters=50)
-            assert s.value <= g.value + 0.02
-            assert s.value >= g.value - 0.05
-
+    def test_grid_beyond_desk_scale_is_rejected(self):
+        game = build_game(ratio_scenario(2, 4, seed=3, channel_order=2))
+        with pytest.raises(InvalidInputError, match="desk-scale"):
+            minmax_bound(game, 0)
 
 def _ascent_games():
     """Q=2/3, N=4/8 games, two of them with finite masks."""
@@ -357,8 +358,8 @@ def _ascent_games():
     return games
 
 
-# User 2 hears user 1 far above its own link, so the inner descent of
-# minmax_bound(q=1) overshoots at unit step and must backtrack.
+# User 2 hears user 1 far above its own link, so the side-payment ascent
+# overshoots at unit step and must backtrack.
 BACKTRACK_GAME = NormalizedGame(
     gain2=np.array([[[11.5, 1.0, 2.6, 1.4], [1.2, 1.6, 1.1, 2.3]],
                     [[15.7, 132.5, 61.2, 2.3], [1595.0, 1173.0, 1611.3, 329.6]]]),
@@ -391,13 +392,6 @@ class TestAscentOracle:
         p, residual, iterations, converged = oracle_modified_game(game, w, step, 1e-8, 150)
         assert res.profile.p.tobytes() == p.tobytes()
         assert (res.residual, res.iterations, res.converged) == (residual, iterations, converged)
-
-    @pytest.mark.parametrize("game", _ascent_games())
-    def test_minmax_saddle(self, game):
-        res = minmax_bound(game, 1, method="saddle", outer_iters=6, inner_iters=40, tol=1e-9)
-        value, p = oracle_minmax_saddle(game, 1, 6, 40, 1e-9)
-        assert res.value == value
-        assert res.profile.p.tobytes() == p.tobytes()
 
     @pytest.mark.parametrize("game", _ascent_games())
     def test_scalarized_gradient_matches_per_user_maps(self, game):
