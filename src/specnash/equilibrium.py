@@ -88,6 +88,8 @@ def solve(
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     if schedule not in ("sequential", "simultaneous"):
         raise InvalidInputError(f"unknown schedule {schedule!r}")
     Q = game.Q

@@ -116,6 +116,14 @@ def _setting(cfg: dict, key: str, default, kind, entries=None):
     return value
 
 
+def _count(cfg: dict, key: str, default: int, least: int = 1) -> int:
+    """``cfg[key]`` (``default`` when absent) if it is an integer of at least ``least``."""
+    n = int(_setting(cfg, key, default, int))
+    if n < least:
+        raise InvalidInputError(f"config key {key!r} must be >= {least}, got {n}")
+    return n
+
+
 def _fmt(x) -> str:
     """Shortest round-trip decimal form; deterministic across runs."""
     return repr(float(x))
@@ -155,7 +163,7 @@ def _json_default(o):
 
 def _uniqueness_trial(args):
     scen, root_seed, trial, ratios, modes = args
-    ch = scenario_from_config(dict(scen, d_ratio=ratios[0]), seed=(root_seed, trial))
+    ch = scenario_from_config(scen, seed=(root_seed, trial))
     # An explicit distance matrix overrides d_ratio, as in ratio_scenario.
     games = distance_sweep(ch, [ch.d if "d" in scen else ratio_distances(ch.Q, r) for r in ratios])
     out = np.zeros((len(ratios), len(modes), len(CONDITION_NAMES)), dtype=bool)
@@ -176,16 +184,17 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     draws its taps once (streams keyed by (seed, t, link)) and takes their
     FFT once, each distance rescales the same fading powers, and the
     games of the whole sweep are certified as one stack per ``Dq_mode``.
-    Rejects an unknown config key, condition or Dq mode and an empty
-    sweep, mode or condition list before any channel is built.
-    ``workers`` is capped at the CPU count.
+    Rejects an unknown config key, condition or Dq mode, an empty sweep,
+    mode or condition list and a raw (taps) scenario, which cannot be
+    redrawn per trial, before any channel is built.  ``workers`` is capped
+    at the CPU count.
     """
     _reject_unknown("uniqueness_mc config keys", cfg, _MC_KEYS)
     scen = _checked_scenario(_setting(cfg, "scenario", None, dict))
+    if "taps" in scen:
+        raise InvalidInputError("uniqueness_mc redraws the taps per trial: use a ratio scenario")
     root_seed = int(_setting(cfg, "seed", 0, int))
-    trials = int(_setting(cfg, "trials", 500, int))
-    if trials < 1:
-        raise InvalidInputError(f"trials must be >= 1, got {trials}")
+    trials = _count(cfg, "trials", 500)
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
@@ -272,7 +281,7 @@ def run_psd(cfg: dict, out_path: str) -> dict:
     check_rule = _setting(cfg, "check_rule", False, bool)
     schedule = _setting(solver, "schedule", "sequential", str)
     tol = float(_setting(solver, "tol", 1e-8, float))
-    max_iter = int(_setting(solver, "max_iter", 2000, int))
+    max_iter = _count(solver, "max_iter", 2000)
     ch = scenario_from_config(_setting(cfg, "scenario", None, dict), seed=(root_seed,))
     game = build_game(ch)
     res = solve(game, schedule=schedule, tol=tol, max_iter=max_iter)
@@ -333,23 +342,29 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
     mode="asymmetric": seeds x one asymmetric geometry; emits equilibrium
     and best weighted-sum rates per seed (sum-rate loss in the sidecar).
     mode="channel_order": average equilibrium rates per channel order.
-    Rejects an unknown mode and a key its mode does not read before any
-    channel is built.
+    Rejects an unknown mode, a key its mode does not read, a count out of
+    range, an empty list and, in the two modes that redraw the taps, a raw
+    (taps) scenario before any channel is built.
     """
     mode = _setting(cfg, "mode", "symmetric", str)
     _reject_unknown("rate_region mode", [mode], _REGION_MODE_KEYS)
     _reject_unknown(f"rate_region {mode} config keys", cfg, _REGION_KEYS | _REGION_MODE_KEYS[mode])
     root_seed = int(_setting(cfg, "seed", 0, int))
     scen = _checked_scenario(_setting(cfg, "scenario", None, dict))
+    if mode != "symmetric" and "taps" in scen:
+        raise InvalidInputError(f"rate_region {mode} mode redraws the taps per seed: "
+                                "use a ratio scenario")
     rows = []
     meta: dict = {"kind": "rate_region", "mode": mode, "config": cfg}
     Q_out = int(scen["Q"]) if "Q" in scen else None
 
     if mode == "symmetric":
-        resolution = int(_setting(cfg, "resolution", 16, int))
+        resolution = _count(cfg, "resolution", 16, least=2)
         lam_sweep = _setting(cfg, "lambda_sweep", [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]], list)
+        if not lam_sweep:
+            raise InvalidInputError("config key 'lambda_sweep' must name a weight vector")
         mg_tol = float(_setting(cfg, "mg_tol", 1e-6, float))
-        splits = np.linspace(0.15, 0.85, int(_setting(cfg, "splits", 8, int)))
+        splits = np.linspace(0.15, 0.85, _count(cfg, "splits", 8))
         ch = scenario_from_config(scen, seed=(root_seed,))
         game = build_game(ch)
         Q_out = game.Q
@@ -370,8 +385,8 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         meta["ne_converged"] = ne.converged
         meta["pareto_count"] = int(region.pareto.sum())
     elif mode == "asymmetric":
-        seeds = int(_setting(cfg, "seeds", 20, int))
-        restarts = int(_setting(cfg, "restarts", 8, int))
+        seeds = _count(cfg, "seeds", 20)
+        restarts = _count(cfg, "restarts", 8)
         ratio = float(_setting(cfg, "d12_over_d21", 0.2, float))
         geo = float(_setting(cfg, "d_cross_geomean", 2.0, float))
         if int(scen["Q"]) != 2:
@@ -398,7 +413,9 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         meta["max_loss"] = max(losses)
     else:
         orders = [int(v) for v in _setting(cfg, "orders", [0, 4, 8], list, int)]
-        seeds = int(_setting(cfg, "seeds", 100, int))
+        if not orders or min(orders) < 0:
+            raise InvalidInputError(f"config key 'orders' must list orders >= 0, got {orders}")
+        seeds = _count(cfg, "seeds", 100)
         Q = int(scen["Q"])
         means = {}
         for L in orders:
@@ -436,13 +453,11 @@ def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
     """
     _reject_unknown("verify_theorem1 config keys", cfg, _THEOREM1_KEYS)
     root_seed = int(_setting(cfg, "seed", 0, int))
-    instances = int(_setting(cfg, "instances", 10, int))
+    instances = _count(cfg, "instances", 10)
     samples = int(_setting(cfg, "samples", 200, int))
     payoffs = _setting(cfg, "payoffs", list(_PAYOFFS), list, str)
     gap_gamma = float(_setting(cfg, "gap_Gamma", 3.0, float))
     scen = _setting(cfg, "scenario", None, dict)
-    if instances < 1:
-        raise InvalidInputError(f"instances must be >= 1, got {instances}")
     if not payoffs:
         raise InvalidInputError("payoffs must name at least one payoff")
     _reject_unknown(f"payoffs (expected {', '.join(_PAYOFFS)})", payoffs, _PAYOFFS)

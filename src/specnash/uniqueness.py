@@ -16,14 +16,14 @@ within 1e-9 of the threshold are reported as boundary cases.
 
 from __future__ import annotations
 
-from contextlib import suppress
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import matrix_balance
 
 from .channel import NormalizedGame
-from .errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
+from .errors import InvalidInputError, NumericFailureError
 from .waterfilling import level_solve
 
 _BOUNDARY = 1e-9
@@ -80,9 +80,9 @@ class UniquenessReport:
 def _usable(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
     """:func:`usable_sets` of stacked games, shape (G, Q, N).
 
-    Every (game, user, alive bin) is one row of a single level solve.  If it
-    raises, the users are solved one by one: a user whose alive bins cannot
-    absorb the budget saturates them, so it keeps those with a nonzero cap.
+    Every (game, user, alive bin) is one row of a single level solve.  A
+    user whose alive bins cannot absorb the budget has NaN levels; it
+    saturates them, so it keeps those with a nonzero cap.
     """
     G, Q, N = direct.shape
     if mode == "all":
@@ -103,19 +103,11 @@ def _usable(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
     prices = np.where(alive, gamma * i_spread / safe, np.inf)[g, q]
     prices[rows, k] = (gamma / safe)[g, q, k]
     caps = pmax[g, q] if np.isfinite(pmax).any() else np.inf  # no (rows, N) copy of inf caps
-    try:
-        mu = level_solve(prices, caps, float(N))
-    except InfeasibleWaterfillError:
-        mu = np.full(k.size, np.nan)
-        for user in np.unique(g * Q + q):
-            mine = g * Q + q == user
-            with suppress(InfeasibleWaterfillError):
-                mu[mine] = level_solve(prices[mine], pmax[g[mine], q[mine]], float(N))
+    mu = level_solve(prices, caps, float(N))
+    cap = pmax[g, q, k]
     kept = np.zeros((G, Q, N), dtype=bool)
-    kept[g, q, k] = np.clip(mu - prices[rows, k], 0.0, pmax[g, q, k]) > 1e-12
-    short = np.zeros((G, Q), dtype=bool)
-    short[g, q] = np.isnan(mu)
-    return np.where(short[..., None], alive & (pmax > 1e-12), kept)
+    kept[g, q, k] = np.where(np.isnan(mu), cap, np.clip(mu - prices[rows, k], 0.0, cap)) > 1e-12
+    return kept
 
 
 def usable_sets(game: NormalizedGame, mode: str = "virtual_interferer") -> np.ndarray:
@@ -223,12 +215,19 @@ def perron_weights(M: np.ndarray) -> np.ndarray:
     return np.maximum(x, 1e-9)
 
 
-def _verdict_less_than_one(name: str, margin, detail) -> ConditionVerdict:
-    """Verdict of a margin that must stay below 1; ``margin`` may be the error that left it unknown."""
-    if isinstance(margin, NumericFailureError):
-        return ConditionVerdict(name, None, np.nan, 1.0, {}, error=str(margin))
-    sat = None if abs(margin - 1.0) <= _BOUNDARY else bool(margin < 1.0)
-    return ConditionVerdict(name=name, satisfied=sat, margin=float(margin), threshold=1.0,
+def _verdict(name: str, margin, detail, above_zero: bool = False) -> ConditionVerdict:
+    """Verdict of a margin that must stay below 1 or, for C7, above 0.
+
+    ``margin`` may be the error that left it unknown: that or a NaN margin gives an error verdict.
+    """
+    threshold = 0.0 if above_zero else 1.0
+    failed = isinstance(margin, NumericFailureError)
+    if failed or math.isnan(margin):
+        error = str(margin) if failed else f"{name} margin is NaN"
+        return ConditionVerdict(name, None, np.nan, threshold, {}, error=error)
+    sat = None if abs(margin - threshold) <= _BOUNDARY else bool(
+        margin > threshold if above_zero else margin < threshold)
+    return ConditionVerdict(name=name, satisfied=sat, margin=float(margin), threshold=threshold,
                             detail=detail)
 
 
@@ -283,20 +282,20 @@ def check_stack(games, Dq_mode: str = "virtual_interferer") -> list:
         failed = isinstance(rho_k, NumericFailureError)
         s, m7 = float(strongest[g]), float(eigmins[g].min())
         verdicts = [
-            _verdict_less_than_one("C1", rho_k if failed else rho_k.max(), {} if failed else {
+            _verdict("C1", rho_k if failed else rho_k.max(), {} if failed else {
                 "rho_per_bin": rho_k, "argmax_bin": int(rho_k.argmax())}),
-            _verdict_less_than_one("C2", rho_max, {}),
+            _verdict("C2", rho_max, {}),
         ]
         for name in ("C3", "C4"):  # the better weighting wins; unit weights on a tie
             best = "perron" if sums[name, "perron"][g] < sums[name, "unit"][g] else "unit"
-            verdicts.append(_verdict_less_than_one(name, sums[name, best][g], {
+            verdicts.append(_verdict(name, sums[name, best][g], {
                 "weights": weights[best][g], "weighting": best,
                 "unit_margin": float(sums[name, "unit"][g])}))
         for name, n in (("C5", Q - 1), ("C6", max(2 * Q - 3, 0))):
-            verdicts.append(_verdict_less_than_one(
+            verdicts.append(_verdict(
                 name, s * n, {"strongest_pair": s, "threshold_raw": 1.0 / max(n, 1)}))
-        verdicts.append(ConditionVerdict("C7", None if abs(m7) <= _BOUNDARY else bool(m7 > 0), m7,
-                                         0.0, {"argmin_bin": int(eigmins[g].argmin())}))
+        verdicts.append(_verdict("C7", m7, {"argmin_bin": int(eigmins[g].argmin())},
+                                 above_zero=True))
         reports.append(UniquenessReport({v.name: v for v in verdicts}, Dq_mode, kept[g]))
     return reports
 

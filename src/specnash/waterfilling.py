@@ -17,11 +17,13 @@ power whenever the budget can be met.
 The level is found by :func:`level_solve`, an exact sort-based solve over
 the piecewise-linear supply curve (O(N log N)) that also serves stacks of
 rows at once: usable-bin pruning and the Euclidean projection onto a
-user's strategy set solve the same problem.  :func:`waterfill_rows` runs
-the whole operator on raw stacks of rows (one equilibrium sweep, all users
-at once); :func:`waterfill` is its validated one-row form.  Budget is met
-to 1e-12 absolute, which leaves headroom for fixed-point residual targets
-of 1e-8 downstream.
+user's strategy set solve the same problem.  A row whose enterable caps
+fall short gets a NaN level.  :func:`waterfill_rows` runs the whole
+operator on raw stacks of rows (one equilibrium sweep, all users at once)
+and is the one place that raises :class:`InfeasibleWaterfillError`, for a
+user with no usable bin and caps above the budget; :func:`waterfill` is
+its validated one-row form.  Budget is met to 1e-12 absolute, which
+leaves headroom for fixed-point residual targets of 1e-8 downstream.
 """
 
 from __future__ import annotations
@@ -131,9 +133,8 @@ def _cummean_level(prices: np.ndarray, target: np.ndarray):
     clears = candidates > c
     clears[..., 0] = True
     mu = _pick(candidates, c.shape[-1] - 1 - clears[..., ::-1].argmax(-1))
-    if np.count_nonzero(mu == np.inf):
-        raise InfeasibleWaterfillError("every price is infinite: no bin can take power")
-    return mu
+    dead = mu == np.inf  # every price infinite: no bin can take power
+    return np.where(dead, np.nan, mu) if np.count_nonzero(dead) else mu
 
 
 def _capacity(caps: np.ndarray, enterable=True):
@@ -153,8 +154,7 @@ def _walk_level(prices: np.ndarray, caps: np.ndarray, target: np.ndarray):
     last, and the walk stops before the first one.  Past the last
     breakpoint every bin sits at its cap.
     """
-    if np.count_nonzero(_capacity(caps, prices < np.inf) < target):
-        raise InfeasibleWaterfillError("caps cannot absorb the target, or no bin can enter")
+    short = _capacity(caps, prices < np.inf) < target
     pts = np.concatenate([prices, prices + caps], axis=-1)
     pts[pts == np.inf] = np.nan
     order = pts.argsort(-1)
@@ -166,9 +166,10 @@ def _walk_level(prices: np.ndarray, caps: np.ndarray, target: np.ndarray):
     # NaN; -1 (the last one) when there is none.  supply[0] = 0 < target.
     j = (supply <= target[..., None]).argmin(-1) - 1
     base, s, a = _pick(pts, j), _pick(supply, j), _pick(active, j)
-    # With no bin active (past the last breakpoint) the step only makes up
-    # the rounding of the supply sum; on the short rows s equals the target.
-    return base + (target - s) / np.maximum(a, 1.0)
+    # With no bin active (past the last breakpoint) the step of a row that
+    # is not short only makes up the rounding of its supply sum.
+    mu = base + (target - s) / np.maximum(a, 1.0)
+    return np.where(short, np.nan, mu) if np.count_nonzero(short) else mu
 
 
 def level_solve(prices, caps, target) -> np.ndarray | float:
@@ -181,8 +182,8 @@ def level_solve(prices, caps, target) -> np.ndarray | float:
     keeps its bin empty at every level; a ``+inf`` cap lets its bin grow
     without bound.  Rows with no finite cap take the sorted
     cumulative-mean formula; the others walk their sorted breakpoints and
-    invert the active segment.  Raises if a row's capacity falls short of
-    its target or all of its prices are infinite.
+    invert the active segment.  A row whose enterable caps sum to less than
+    its target (all prices infinite included) gets NaN, not a level.
     """
     prices = np.asarray(prices, dtype=np.float64)
     caps = np.asarray(caps, dtype=np.float64)
@@ -214,9 +215,10 @@ def waterfill_rows(g, i, Gamma, pmax, budget: float = 1.0):
     interference factors ``i[r]``, gap ``Gamma[r]`` (``Gamma`` is a scalar
     or has shape ``(...)``) and caps ``pmax[r]``, and is bit-equal to the
     same row solved alone; ``mu[r]`` is its level, NaN on the trivial and
-    saturation branches.  The operands are not validated: the caller
-    guarantees what :class:`WaterfillInput` checks.  1-D operands give a
-    1-D allocation and a float level.
+    saturation branches; a row with no usable bin and caps above the budget
+    raises :class:`InfeasibleWaterfillError`.  The operands are not
+    validated: the caller guarantees what :class:`WaterfillInput` checks.
+    1-D operands give a 1-D allocation and a float level.
     """
     g = np.asarray(g, dtype=np.float64)
     i = np.asarray(i, dtype=np.float64)
@@ -232,36 +234,31 @@ def waterfill_rows(g, i, Gamma, pmax, budget: float = 1.0):
     else:
         # A dead bin's infinite price keeps it empty at every level.
         prices = np.divide(gi, g, out=np.full(gi.shape, np.inf), where=g > 0.0)
-    try:
-        mu, short = level_solve(prices, pmax, target), None
-    except InfeasibleWaterfillError:
-        # Only the rows whose enterable caps absorb the budget have a level.
-        short = _capacity(pmax, prices < np.inf) < target
-        mu = np.full(short.shape, np.nan)
-        if not short.all():
-            mu[~short] = level_solve(prices[~short], pmax[~short], target)
+    mu = level_solve(prices, pmax, target)
     # np.clip without its dispatch overhead, which shows at N = 64.
     p = np.minimum(np.maximum(col(mu) - prices, 0.0), pmax)
     err = p.sum(-1) - target
-    drift = abs(err) > 1e-13 * max(1.0, target)
-    if drift.any() if rows else drift:
-        # Newton polish on the interior bins guards against float drift.
+    met = abs(err) <= 1e-13 * max(1.0, target)
+    if not (met.all() if rows else met):
+        # Newton polish on the interior bins guards against float drift.  A
+        # short row fails the test too, but its NaN level has no interior.
         interior = ((p > 0.0) & (p < pmax)).sum(-1)
-        drift &= interior > 0
+        drift = ~met & (interior > 0)
         mu = np.where(drift, mu - err / np.maximum(interior, 1), mu)
         polished = np.minimum(np.maximum(col(mu) - prices, 0.0), pmax)
         p = np.where(col(drift), polished, p)
-    if short is not None:
-        # The caps of the usable bins cannot absorb the budget.  Where all
-        # caps fall short too, the strategy set collapses onto them;
-        # otherwise the usable bins saturate and the rest stay unused
-        # (rate-optimal, level unbounded).
-        usable = g > 0.0
-        trivial = _capacity(pmax) < target
-        if (short & ~trivial & ~usable.any(-1)).any():
-            raise InfeasibleWaterfillError("all gains are zero with caps above budget")
-        fill = np.where(col(trivial) | usable, pmax, 0.0)
-        p = np.where(col(short), fill, p)
+        short = np.isnan(mu)
+        if short.any():
+            # The caps of the usable bins cannot absorb the budget.  Where
+            # all caps fall short too, the strategy set collapses onto them;
+            # otherwise the usable bins saturate and the rest stay unused
+            # (rate-optimal, level unbounded).
+            usable = g > 0.0
+            trivial = _capacity(pmax) < target
+            if (short & ~trivial & ~usable.any(-1)).any():
+                raise InfeasibleWaterfillError("all gains are zero with caps above budget")
+            fill = np.where(col(trivial) | usable, pmax, 0.0)
+            p = np.where(col(short), fill, p)
     return p, (mu if rows else float(mu))
 
 

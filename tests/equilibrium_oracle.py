@@ -3,7 +3,7 @@
 ``oracle_waterfill`` is the one-row waterfill as it stood before
 ``specnash.waterfilling.waterfill_rows`` solved stacks of rows: it tries
 the level solve and falls back to the trivial or saturation branch when
-the solve raises, and it also names the branch it took.
+the solve finds no level (NaN), and it also names the branch it took.
 ``oracle_response_map`` stacks Q validated ``best_response`` calls, and
 ``oracle_solve`` is the sweep loop of ``specnash.equilibrium.solve`` built
 on them: each sequential step and each residual map recomputes the whole
@@ -33,9 +33,8 @@ def oracle_waterfill(g, i, Gamma: float, pmax, budget: float = 1.0):
         prices = Gamma * i / g
     else:
         prices = np.divide(Gamma * i, g, out=np.full(g.size, np.inf), where=g > 0.0)
-    try:
-        mu = level_solve(prices, pmax, target)
-    except InfeasibleWaterfillError:
+    mu = level_solve(prices, pmax, target)
+    if np.isnan(mu):
         if pmax.sum() < target:
             return pmax.copy(), None, "trivial"
         if not (g > 0.0).any():

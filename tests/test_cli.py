@@ -474,6 +474,44 @@ class TestConfigValidation:
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
 
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("solve", PSD_CFG | {"solver": {"max_iter": 0}}, "max_iter"),
+        ("solve", PSD_CFG | {"solver": {"max_iter": -4}}, "max_iter"),
+        ("montecarlo", MC_CFG | {"trials": 0}, "trials"),
+        ("rate-region", REGION_CFGS["channel_order"] | {"seeds": 0}, "seeds"),
+        ("rate-region", REGION_CFGS["channel_order"] | {"orders": [-2]}, "orders"),
+        ("rate-region", REGION_CFGS["channel_order"] | {"orders": []}, "orders"),
+        ("rate-region", REGION_CFGS["asymmetric"] | {"seeds": 0}, "seeds"),
+        ("rate-region", REGION_CFGS["asymmetric"] | {"restarts": 0}, "restarts"),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"splits": 0}, "splits"),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"resolution": 1}, "resolution"),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"lambda_sweep": []}, "lambda_sweep"),
+    ])
+    def test_count_out_of_range_exit_code(self, tmp_path, capsys, no_channel, command, cfg, key):
+        # max_iter 0 wrote the initial profile with an infinite residual and
+        # channel_order seeds 0 wrote NaN rates, both with exit 0; asymmetric
+        # seeds or restarts 0 and a negative order failed deep in numpy, and
+        # empty orders or lambda_sweep passed silently.
+        rc, out = self.run(tmp_path, command, cfg)
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r} must ")
+
+    @pytest.mark.parametrize("command,cfg,named", [
+        ("montecarlo", MC_CFG, "uniqueness_mc"),
+        ("rate-region", REGION_CFGS["asymmetric"], "rate_region asymmetric mode"),
+        ("rate-region", REGION_CFGS["channel_order"], "rate_region channel_order mode"),
+    ])
+    def test_raw_scenario_where_taps_are_redrawn_exit_code(self, tmp_path, capsys, no_channel,
+                                                           command, cfg, named):
+        # A raw entry's taps cannot be redrawn per trial or seed: montecarlo
+        # failed on a d_ratio key the user never wrote, and rate-region on a
+        # bare KeyError 'Q'.
+        rc, out = self.run(tmp_path, command, cfg | {"scenario": raw_scenario(None)})
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {named} redraws the taps per ")
+
     @pytest.mark.parametrize("command", sorted(SMALL_CFGS))
     @pytest.mark.parametrize("top,seed", [([1, 2], []), ("x", ["--seed", "3"])])
     def test_non_object_config_exit_code(self, tmp_path, capsys, no_channel, command, top, seed):

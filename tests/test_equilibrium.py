@@ -291,6 +291,9 @@ class TestSolve:
         game = flat_game()
         with pytest.raises(InvalidInputError):
             solve(game, tol=0.0)
+        for max_iter in (0, -1):
+            with pytest.raises(InvalidInputError, match="max_iter"):
+                solve(game, max_iter=max_iter)
         with pytest.raises(InvalidInputError):
             solve(game, schedule="chaotic")
         with pytest.raises(InvalidInputError):

@@ -198,6 +198,36 @@ def level_problems(draw):
     return prices, caps, target
 
 
+LEVEL_ROW_KINDS = ("uncapped", "capped", "short", "dead")
+
+
+@st.composite
+def mixed_level_stacks(draw):
+    """Level-solve stacks whose rows are uncapped, capped with room to spare,
+    short (enterable caps at most 90% of the target) or dead (no finite
+    price), with some +inf prices in every row that can enter."""
+    M, N = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    kinds = draw(st.lists(st.sampled_from(LEVEL_ROW_KINDS), min_size=M, max_size=M))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prices = rng.uniform(-5.0, 5.0, (M, N))
+    prices[rng.random((M, N)) < 0.3] = INF
+    prices[np.arange(M), rng.integers(N, size=M)] = rng.uniform(-5.0, 5.0, M)
+    caps = rng.uniform(0.0, 2.0, (M, N))
+    target = rng.uniform(0.05, 1.5, M) * N
+    for m, kind in enumerate(kinds):
+        live = prices[m] < INF
+        if kind == "uncapped":
+            caps[m] = INF
+        elif kind == "capped":
+            caps[m, rng.choice(np.nonzero(live)[0])] = 1.1 * target[m] + 1.0
+        elif kind == "short":
+            caps[m] *= 0.9 * target[m] / caps[m, live].sum()
+        else:
+            prices[m] = INF
+            caps[m, rng.random(N) < 0.5] = INF
+    return prices, caps, target, kinds
+
+
 ROW_KINDS = ("uncapped", "capped", "short", "dead", "saturate", "polish")
 
 
@@ -236,7 +266,7 @@ def kernel_batches(draw):
 
 
 class TestWaterfillRows:
-    """The batched kernel against per-row ``waterfill`` and the try/except oracle."""
+    """The batched kernel against per-row ``waterfill`` and the NaN-level oracle."""
 
     def test_bit_equal_to_per_row_waterfill(self):
         seen = set()
@@ -306,12 +336,13 @@ class TestLevelSolve:
             # same caps in another order, so at a rounding tie it may
             # disagree; it is then skipped below.
             short.append(np.where(np.isfinite(pr), cp, 0.0).sum() < t)
-        if any(short):
-            with pytest.raises(InfeasibleWaterfillError):
-                level_solve(prices, caps, target)
-            return
         mu = np.reshape(level_solve(prices, caps, target), -1)
         for m, (pr, cp, t) in enumerate(zip(rows_p, rows_c, rows_t)):
+            # Each batched row is bit-equal to the same row solved alone.
+            assert np.float64(level_solve(pr, cp, t)).tobytes() == mu[m].tobytes()
+            if short[m]:
+                assert np.isnan(mu[m])
+                continue
             scale = max(1.0, abs(mu[m]))
             x = np.clip(mu[m] - pr, 0.0, cp)
             assert abs(x.sum() - t) <= 1e-9 * scale
@@ -319,13 +350,21 @@ class TestLevelSolve:
                 # The level can be non-unique where supply is flat; the
                 # allocation it induces cannot.
                 assert np.abs(x - np.clip(refs[m] - pr, 0.0, cp)).max() <= 1e-9 * scale
-            # Each batched row is bit-equal to the same row solved alone.
-            assert np.float64(level_solve(pr, cp, t)).tobytes() == mu[m].tobytes()
 
-    def test_all_prices_infinite_raises(self):
+    def test_all_prices_infinite_is_nan(self):
         for caps in ([1.0, 2.0], [INF, INF]):
-            with pytest.raises(InfeasibleWaterfillError):
-                level_solve(np.full(2, INF), np.array(caps), 1.0)
+            assert np.isnan(level_solve(np.full(2, INF), np.array(caps), 1.0))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(stack=mixed_level_stacks())
+    def test_short_rows_are_nan_and_leave_the_rest(self, stack):
+        prices, caps, target, kinds = stack
+        mu = level_solve(prices, caps, target)
+        short = np.where(prices < INF, caps, 0.0).sum(-1) < target
+        assert (np.isnan(mu) == short).all()
+        assert short.tolist() == [kind in ("short", "dead") for kind in kinds]
+        for pr, cp, t, m in zip(prices, caps, target, mu):
+            assert np.float64(level_solve(pr, cp, t)).tobytes() == m.tobytes()
 
     def test_dead_bin_matches_subset(self):
         # An infinite price gives bit-for-bit the level of the live bins alone.

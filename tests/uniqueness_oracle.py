@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from specnash.channel import NormalizedGame
-from specnash.errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
+from specnash.errors import InvalidInputError, NumericFailureError
 from specnash.uniqueness import ConditionVerdict, UniquenessReport, perron_weights, spectral_radius
 from specnash.waterfilling import level_solve
 
@@ -43,9 +43,8 @@ def oracle_usable_carriers(game: NormalizedGame, q: int, mode: str = "virtual_in
     prices = np.full((own.size, N), np.inf)
     prices[:, alive] = gamma_q * i_spread[alive] / direct[alive]
     prices[rows, own] = gamma_q / direct[own]
-    try:
-        mu = level_solve(prices, pmax_q, float(N))
-    except InfeasibleWaterfillError:
+    mu = level_solve(prices, pmax_q, float(N))
+    if np.isnan(mu).any():
         return alive & (pmax_q > 1e-12)
     kept = np.zeros(N, dtype=bool)
     kept[own] = np.clip(mu - prices[rows, own], 0.0, pmax_q[own]) > 1e-12
