@@ -55,9 +55,8 @@ def best_response(q: int, p: np.ndarray, game: NormalizedGame) -> np.ndarray:
     return waterfill(inp)
 
 
-def _interference(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
-    """The (Q, N) interference map of ``p``, checked as WaterfillInput checks it."""
-    i = game.interference(p)
+def _finite(i: np.ndarray) -> np.ndarray:
+    """Interference factors ``i``, checked as WaterfillInput checks them."""
     if not np.isfinite(i).all():
         raise InvalidInputError("interference factors must be finite and >= 1")
     return i
@@ -65,7 +64,8 @@ def _interference(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
 
 def _response_map(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
     """Every user's waterfilling response to ``p``: one batched solve."""
-    return waterfill_rows(game.direct_gain2(), _interference(p, game), game.Gamma, game.pmax)[0]
+    return waterfill_rows(game.direct_gain2(), _finite(game.interference(p)), game.Gamma,
+                          game.pmax)[0]
 
 
 def solve(
@@ -83,8 +83,11 @@ def solve(
     from the previous iterate.  The residual is the sup-norm of p - WF(p)
     stacked over users; iteration stops at ``tol`` or ``max_iter``.  The
     game and ``init`` are validated once here; the sweeps then run on raw
-    arrays, each response map as one batched waterfill.  (Finite gains and
-    NaN-free caps are the game's own invariants.)
+    arrays.  A batched response map is made for the start profile and
+    after every sweep, for its residual.  Jacobi steps to it; Gauss-Seidel
+    copies its first user's row from it (a batched row is bit-equal to the
+    row solved alone), then solves each later user on one interference
+    row.  (Finite gains and NaN-free caps are the game's own invariants.)
     """
     if tol <= 0:
         raise InvalidInputError("tol must be positive")
@@ -108,16 +111,16 @@ def solve(
     residual = np.inf
     iterations = 0
     converged = False
-    # Jacobi's next iterate is the response map its residual already needs.
-    nxt = _response_map(p, game) if schedule == "simultaneous" else None
+    # The response map of the current iterate, which the residual needs anyway.
+    nxt = _response_map(p, game)
     for it in range(1, max_iter + 1):
         iterations = it
         if schedule == "sequential":
-            order = np.arange(Q) if order_rng is None else order_rng.permutation(Q)
-            for q in order:
-                p[q] = waterfill_rows(
-                    direct[q], _interference(p, game)[q], game.Gamma[q], game.pmax[q]
-                )[0]
+            first, *rest = range(Q) if order_rng is None else order_rng.permutation(Q).tolist()
+            p[first] = nxt[first]
+            for q in rest:
+                p[q] = waterfill_rows(direct[q], _finite(game.interference_row(p, q)),
+                                      game.Gamma[q], game.pmax[q])[0]
         else:
             p = nxt
         if not np.isfinite(p).all():

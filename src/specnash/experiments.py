@@ -18,6 +18,7 @@ import csv
 import json
 import numbers
 import os
+from itertools import chain
 from multiprocessing import Pool
 
 import numpy as np
@@ -137,10 +138,55 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    # One dumps and one write: json.dump with an indent writes many small chunks.
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    """Write json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\\n"."""
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        fh.write(_json_text(payload, "\n") + "\n")
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}  # json's spellings
+_SCALAR_TEXT = {float: lambda x: _FLOAT_WORDS.get(text := float.__repr__(x), text),
+                str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.get, type(None): lambda o: "null"}
+_SCALAR_TEXT[np.float64] = _SCALAR_TEXT[float]  # a float subclass: json writes it as one
+
+
+def _json_text(o, nl: str) -> str:
+    """json.dumps text of ``o``, each line break written as ``nl`` (a newline and the indent of
+    ``o``'s first line).  json's indented encoder is pure Python, so what json meets most is
+    rendered here, anything else by json.dumps, reindented (no JSON string holds a newline)."""
+    kind = type(o)
+    if kind in _SCALAR_TEXT:
+        return _SCALAR_TEXT[kind](o)
+    inner = nl + "  "
+    if kind is dict and all(type(k) is str for k in o):
+        items = [_SCALAR_TEXT[str](k) + ": " + _json_text(o[k], inner) for k in sorted(o)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if o else "{}"
+    if kind is list:
+        return _float_block(o, nl) or (
+            "[" + inner + ("," + inner).join([_json_text(v, inner) for v in o]) + nl + "]"
+            if o else "[]")
+    if isinstance(o, (np.ndarray, np.floating, np.integer, np.bool_)):  # as json: _json_default
+        return _json_text(_json_default(o), nl)
+    return json.dumps(o, indent=2, sort_keys=True, default=_json_default).replace("\n", nl)
+
+
+def _float_block(o: list, nl: str) -> str | None:
+    """:func:`_json_text` of a rectangular nested list of floats, else None."""
+    shape, leaves = [len(o)], o
+    while ((kinds := set(map(type, leaves))) == {list}
+           and len(sizes := set(map(len, leaves))) == 1):
+        shape.append(sizes.pop())
+        leaves = list(chain.from_iterable(leaves))
+    if kinds != {float}:  # other leaves, or a ragged list
+        return None
+    text = list(map(float.__repr__, leaves))
+    if not _FLOAT_WORDS.keys().isdisjoint(text):
+        text = [_FLOAT_WORDS.get(t, t) for t in text]
+    for depth in range(len(shape) - 1, -1, -1):
+        inner = nl + "  " * (depth + 1)
+        wrap = ("[" + inner + "%s" + nl + "  " * depth + "]").__mod__
+        text = list(map(wrap, map(("," + inner).join, zip(*[iter(text)] * shape[depth]))))
+    return text[0]
 
 
 def _write_meta(path: str, payload: dict) -> None:
@@ -285,11 +331,10 @@ def run_psd(cfg: dict, out_path: str) -> dict:
     ch = scenario_from_config(_setting(cfg, "scenario", None, dict), seed=(root_seed,))
     game = build_game(ch)
     res = solve(game, schedule=schedule, tol=tol, max_iter=max_iter)
-    rows = []
-    for q in range(game.Q):
-        for k in range(game.N):
-            rows.append([q + 1, k + 1, _fmt(res.profile.p[q, k])])
-    _write_csv(out_path, ["user", "carrier", "power"], rows)
+    rows = [f"{q},{k},{v!r}\n" for q, powers in enumerate(res.profile.p.tolist(), 1)
+            for k, v in enumerate(powers, 1)]
+    with open(out_path, "w", newline="\n") as fh:  # csv.writer's lines, none needing quotes
+        fh.write("user,carrier,power\n" + "".join(rows))
 
     meta = {
         "kind": "psd",

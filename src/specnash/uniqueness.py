@@ -100,8 +100,9 @@ def _usable(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
     # other bins at the spread interference, and dead bins never enter.
     g, q, k = np.nonzero(alive)
     rows = np.arange(k.size)
-    prices = np.where(alive, gamma * i_spread / safe, np.inf)[g, q]
-    prices[rows, k] = (gamma / safe)[g, q, k]
+    with np.errstate(over="ignore"):  # a subnormal direct gain prices its bin out
+        prices = np.where(alive, gamma * i_spread / safe, np.inf)[g, q]
+        prices[rows, k] = (gamma / safe)[g, q, k]
     caps = pmax[g, q] if np.isfinite(pmax).any() else np.inf  # no (rows, N) copy of inf caps
     mu = level_solve(prices, caps, float(N))
     cap = pmax[g, q, k]
@@ -133,8 +134,9 @@ def _couplings(gain2, direct, Gamma, kept, cols=None) -> np.ndarray:
     if (kept & (direct <= 0)).any():
         raise NumericFailureError("zero direct gain inside a kept bin set (internal invariant)")
     Q = direct.shape[1]
-    # ratio[g, q, r, k] = gain2[g, r, q, k] / direct[g, q, k]
-    ratio = gain2.transpose(0, 2, 1, 3) / np.where(kept, direct, 1.0)[:, :, None, :]
+    # ratio[g, q, r, k] = gain2[g, r, q, k] / direct[g, q, k], inf on a subnormal direct gain
+    with np.errstate(over="ignore"):
+        ratio = gain2.transpose(0, 2, 1, 3) / np.where(kept, direct, 1.0)[:, :, None, :]
     both = kept[:, :, None, :] & (kept if cols is None else cols)[:, None, :, :]
     H = Gamma[:, :, None, None] * ratio * both
     H[:, range(Q), range(Q)] = 0.0

@@ -34,7 +34,7 @@ from functools import cache
 import numpy as np
 
 from .channel import NormalizedGame
-from .errors import InfeasibleWaterfillError, InvalidInputError
+from .errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
 
 
 @dataclass(frozen=True)
@@ -216,7 +216,8 @@ def waterfill_rows(g, i, Gamma, pmax, budget: float = 1.0):
     or has shape ``(...)``) and caps ``pmax[r]``, and is bit-equal to the
     same row solved alone; ``mu[r]`` is its level, NaN on the trivial and
     saturation branches; a row with no usable bin and caps above the budget
-    raises :class:`InfeasibleWaterfillError`.  The operands are not
+    raises :class:`InfeasibleWaterfillError`, one whose level's rounding
+    loses the budget :class:`NumericFailureError`.  The operands are not
     validated: the caller guarantees what :class:`WaterfillInput` checks.
     1-D operands give a 1-D allocation and a float level.
     """
@@ -248,6 +249,9 @@ def waterfill_rows(g, i, Gamma, pmax, budget: float = 1.0):
         polished = np.minimum(np.maximum(col(mu) - prices, 0.0), pmax)
         p = np.where(col(drift), polished, p)
         short = np.isnan(mu)
+        missed = abs(p.sum(-1) - target) > 1e-13 * max(1.0, target)
+        if (missed & ~short & (((p > 0.0) & (p < pmax)).sum(-1) == 0)).any():
+            raise NumericFailureError("waterfill level lost to rounding: the budget is missed")
         if short.any():
             # The caps of the usable bins cannot absorb the budget.  Where
             # all caps fall short too, the strategy set collapses onto them;

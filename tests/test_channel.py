@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specnash import (
     ChannelSet,
@@ -220,6 +221,22 @@ class TestInterference:
             for q in range(Q):
                 row = 1.0 + np.einsum("rk,rk->k", gain2[:, q], p) - gain2[q, q] * p[q]
                 assert i[q].tobytes() == np.maximum(row, 1.0).tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(Q=st.integers(1, 8), N=st.integers(1, 64), seed=st.integers(0, 2**32 - 1),
+           decades=st.floats(0.0, 12.0), zeros=st.booleans())
+    def test_row_form_bit_equal_to_map(self, Q, N, seed, decades, zeros):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-decades / 2, decades / 2, (Q, Q, 1))
+        gain2 = rng.exponential(size=(Q, Q, N)) * scale
+        p = rng.exponential(size=(Q, N)) * rng.uniform(0.0, 3.0)
+        if zeros:  # silent users and dead links, as equilibria have them
+            gain2[rng.random(gain2.shape) < 0.2] = 0.0
+            p[rng.random(p.shape) < 0.3] = 0.0
+        game = NormalizedGame(gain2=gain2, pmax=np.full((Q, N), UNBOUNDED), Gamma=np.ones(Q))
+        i = game.interference(p)
+        for q in range(Q):
+            assert game.interference_row(p, q).tobytes() == i[q].tobytes()
 
     def test_hand_evaluated(self):
         gain2 = np.array([[[2.0], [0.5]], [[0.25], [3.0]]])

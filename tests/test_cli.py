@@ -728,6 +728,21 @@ class TestCliContract:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "zero" in err
 
+    def test_level_lost_to_rounding_exit_code(self, tmp_path, capsys):
+        # Direct gains near 1e-17 price every bin near 1e17, past the reach
+        # of the level's rounding step: this used to write all-zero powers
+        # with exit code 0.
+        cfg = {"scenario": {
+            "taps": [[[[1.0, 0.0]], [[0.1, 0.0]]], [[[0.1, 0.0]], [[1.0, 0.0]]]],
+            "d": [[1e7, 1e9], [1e9, 1e7]], "gamma": 2.5, "P": [1.0, 1.0],
+            "sigma2": [1.0, 1.0], "Gamma": [1.0, 1.0], "N": 64,
+        }}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numeric failure: waterfill level lost")
+
     @pytest.mark.parametrize("command", ["solve", "check-uniqueness"])
     @pytest.mark.parametrize("extra", [{"snr": -10}, {"pmax_bar": [[1.0] * 16] * 2}])
     def test_unknown_scenario_key_exit_code(self, tmp_path, capsys, command, extra):

@@ -223,9 +223,11 @@ class TestSolve:
         monkeypatch.setattr(equilibrium, "best_response", None)
         monkeypatch.setattr(equilibrium, "waterfill", None)
         res = solve(game, "sequential", tol=1e-10)
-        # Per sweep: one raw row per user, then the batched residual map.
-        sweep = [(game.N,)] * game.Q + [(game.Q, game.N)]
-        assert kernel_calls == sweep * res.iterations
+        # The map of the start profile, then per sweep: the first user's row
+        # read off the previous map, one raw row per later user, then the
+        # batched residual map.
+        sweep = [(game.N,)] * (game.Q - 1) + [(game.Q, game.N)]
+        assert kernel_calls == [(game.Q, game.N)] + sweep * res.iterations
 
     @pytest.mark.parametrize("schedule,order_seed", [("sequential", None), ("sequential", 7),
                                                      ("simultaneous", None)])

@@ -322,11 +322,11 @@ class TestCheckConditions:
     def test_nan_margin_is_an_error_verdict(self):
         # A subnormal direct gain overflows its couplings to inf, and the C7
         # eigen-solve returns NaN: that verdict used to read False, no error.
+        # The overflow is expected where it happens, so no warning escapes.
         g = np.ones((2, 2, 4))
         g[0, 0, 0] = 1e-320
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            report = check_conditions(NormalizedGame(
-                gain2=g, pmax=np.full((2, 4), UNBOUNDED), Gamma=np.ones(2)))
+        report = check_conditions(NormalizedGame(
+            gain2=g, pmax=np.full((2, 4), UNBOUNDED), Gamma=np.ones(2)))
         c7 = report["C7"]
         assert c7.satisfied is None and np.isnan(c7.margin) and c7.error == "C7 margin is NaN"
         assert report["C1"].error is None and not report.satisfied("C7")

@@ -9,6 +9,7 @@ from specnash import (
     InfeasibleWaterfillError,
     InvalidInputError,
     NormalizedGame,
+    NumericFailureError,
     PowerProfile,
     UNBOUNDED,
     WaterfillInput,
@@ -315,6 +316,23 @@ class TestWaterfillRows:
         # Caps short of the budget pin even an all-dead row to them.
         p, mu = waterfill_rows(g, np.ones((2, 2)), np.ones(2), np.full((2, 2), 0.5))
         assert p.tolist() == [[0.5, 0.5], [0.5, 0.5]] and np.isnan(mu).all()
+
+
+    @pytest.mark.parametrize("gain", [1e-17, 1e-15])
+    def test_level_lost_to_rounding_raises(self, gain):
+        # Prices of 1e17 put the level's rounding step (16) above the budget
+        # of a 64-bin row: no allocation meets it, and an all-zero one used
+        # to come back with no error.  At 1e15 the row is still exact.
+        inp = WaterfillInput(g=np.full(64, gain), i=np.ones(64), Gamma=1.0, pmax=np.full(64, INF))
+        if gain < 1e-16:
+            with pytest.raises(NumericFailureError, match="budget"):
+                waterfill(inp)
+            rows = [np.stack([np.full(64, gain), np.ones(64)]), np.ones((2, 64)), np.ones(2),
+                    np.full((2, 64), INF)]
+            with pytest.raises(NumericFailureError, match="budget"):
+                waterfill_rows(*rows)
+        else:
+            assert waterfill(inp).tolist() == [1.0] * 64
 
 
 class TestLevelSolve:
