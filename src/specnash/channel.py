@@ -14,6 +14,7 @@ Bin indices are 0-based internally and 1-based in emitted reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -247,8 +248,17 @@ def ratio_scenario(
     profile by default (per-tap variance ``1/(channel_order+1)``, or
     ``tap_variance``), or an exponential profile ``exp(-l/tap_decay)``
     (normalized) for mildly selective channels.  Streams are keyed by
-    ``(seed, r, q)``.
+    ``(seed, r, q)``.  A negative ``channel_order`` and an ``snr_db`` whose
+    power is not finite are rejected by name.
     """
+    if channel_order < 0:
+        raise InvalidInputError(f"channel_order must be >= 0, got {channel_order!r}")
+    try:
+        snr = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        snr = math.inf
+    if not math.isfinite(snr):
+        raise InvalidInputError(f"snr_db must give a finite power, got {snr_db!r}")
     d = ratio_distances(Q, d_ratio) if d is None else np.asarray(d, dtype=np.float64)
     if tap_decay is not None:
         profile = np.exp(-np.arange(channel_order + 1) / float(tap_decay))
@@ -261,7 +271,6 @@ def ratio_scenario(
     z = keyed_normals([key + (r, q) for r in range(Q) for q in range(Q)], (2, channel_order + 1))
     z = z.reshape(Q, Q, 2, channel_order + 1)
     taps = np.sqrt(profile / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1])
-    snr = 10.0 ** (snr_db / 10.0)
     P = np.full(Q, snr)
     if pmax_bar is None:
         pmax_bar = np.full((Q, N), UNBOUNDED)

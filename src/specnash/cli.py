@@ -54,7 +54,11 @@ def _cmd_check_uniqueness(args) -> int:
 
 
 def _cmd_montecarlo(args) -> int:
-    run_uniqueness_mc(*_load_config(args, "uniqueness_mc.csv"), workers=args.workers)
+    result = run_uniqueness_mc(*_load_config(args, "uniqueness_mc.csv"), workers=args.workers)
+    boundary, errors = sum(result["boundary"].values()), sum(result["errors"].values())
+    if boundary or errors:
+        print(f"note: {boundary} boundary and {errors} error verdicts, not counted as holding",
+              file=sys.stderr)
     return 0
 
 

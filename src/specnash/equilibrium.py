@@ -89,8 +89,8 @@ def solve(
     row solved alone), then solves each later user on one interference
     row.  (Finite gains and NaN-free caps are the game's own invariants.)
     """
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if not tol > 0:  # NaN too
+        raise InvalidInputError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     if schedule not in ("sequential", "simultaneous"):

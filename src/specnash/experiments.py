@@ -32,7 +32,8 @@ from .errors import InvalidInputError
 from .matrix_oracle import verify_diagonal_optimality, verify_instance
 from .pareto import (rate_array, sample_rate_region, solve_modified_game, solve_scalarized,
                      total_split_rates)
-from .uniqueness import CONDITION_NAMES, DQ_MODES, check_conditions, check_stack
+from .uniqueness import (CONDITION_NAMES, DQ_MODES, VERDICT_KINDS, check_conditions,
+                         verdict_codes)
 
 CSV_SCHEMA_VERSION = 1
 
@@ -212,11 +213,7 @@ def _uniqueness_trial(args):
     ch = scenario_from_config(scen, seed=(root_seed, trial))
     # An explicit distance matrix overrides d_ratio, as in ratio_scenario.
     games = distance_sweep(ch, [ch.d if "d" in scen else ratio_distances(ch.Q, r) for r in ratios])
-    out = np.zeros((len(ratios), len(modes), len(CONDITION_NAMES)), dtype=bool)
-    for j, mode in enumerate(modes):
-        for i, report in enumerate(check_stack(games, mode)):
-            out[i, j] = [report.satisfied(name) for name in CONDITION_NAMES]
-    return out
+    return np.stack([verdict_codes(games, mode) for mode in modes], axis=1)
 
 
 _MC_KEYS = {"kind", "out", "seed", "scenario", "trials", "d_ratio_sweep", "Dq_modes",
@@ -229,7 +226,10 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     Sweeps the normalized interlink distance on matched fading: trial t
     draws its taps once (streams keyed by (seed, t, link)) and takes their
     FFT once, each distance rescales the same fading powers, and the
-    games of the whole sweep are certified as one stack per ``Dq_mode``.
+    games of the whole sweep are certified as one stack per ``Dq_mode``
+    (:func:`verdict_codes`).  A probability counts the verdicts that hold;
+    the result also counts, per (ratio, mode, condition), the boundary and
+    error verdicts that it leaves out (``"boundary"``, ``"errors"``).
     Rejects an unknown config key, condition or Dq mode, an empty sweep,
     mode or condition list and a raw (taps) scenario, which cannot be
     redrawn per trial, before any channel is built.  ``workers`` is capped
@@ -257,20 +257,22 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     jobs = [(scen, root_seed, t, ratios, modes) for t in range(trials)]
     if workers > 1:
         with Pool(workers) as pool:
-            hits = pool.map(_uniqueness_trial, jobs)
+            codes = np.stack(pool.map(_uniqueness_trial, jobs))
     else:
-        hits = [_uniqueness_trial(j) for j in jobs]
-    counts = np.sum(hits, axis=0)
+        codes = np.stack([_uniqueness_trial(j) for j in jobs])
+    counts = {kind: (codes == c).sum(axis=0) for c, kind in enumerate(VERDICT_KINDS)}
 
     rows = []
-    probs = {}
+    probs, boundary, errors = {}, {}, {}
     for i, ratio in enumerate(ratios):
         for j, mode in enumerate(modes):
             for c, name in enumerate(CONDITION_NAMES):
                 if name not in conditions:
                     continue
-                p = counts[i, j, c] / trials
+                p = counts["true"][i, j, c] / trials
                 probs[(ratio, mode, name)] = p
+                boundary[(ratio, mode, name)] = int(counts["boundary"][i, j, c])
+                errors[(ratio, mode, name)] = int(counts["error"][i, j, c])
                 rows.append([_fmt(ratio), name, mode, _fmt(p), trials])
     _write_csv(out_path, ["d_ratio", "condition", "Dq_mode", "prob", "trials"], rows)
     _write_meta(
@@ -284,7 +286,8 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
             },
         },
     )
-    return {"probs": probs, "trials": trials, "ratios": ratios, "modes": modes}
+    return {"probs": probs, "boundary": boundary, "errors": errors, "trials": trials,
+            "ratios": ratios, "modes": modes}
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ within 1e-9 of the threshold are reported as boundary cases.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,19 @@ from .errors import InvalidInputError, NumericFailureError
 from .waterfilling import level_solve
 
 _BOUNDARY = 1e-9
+# The usable-bin screen leaves a row to the level solve while its supply is
+# within _SCREEN_BAND * N * (|level| + 1) of the target, far above the
+# rounding of either computation.
+_SCREEN_BAND = 1e-9
+# C1's bounds decide a game only this far past the boundary band, beyond the
+# rounding of the bounds and of the exact radii.
+_BOUND_SLACK = 1e-12
 
 CONDITION_NAMES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7")
 DQ_MODES = ("virtual_interferer", "all")
+# Verdict codes index this tuple: 0 false, 1 true, 2 boundary, 3 error.
+VERDICT_KINDS = ("false", "true", "boundary", "error")
+_ABOVE_ZERO = np.array([name == "C7" for name in CONDITION_NAMES])  # C7 holds above 0
 
 
 @dataclass(frozen=True)
@@ -80,9 +89,16 @@ class UniquenessReport:
 def _usable(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
     """:func:`usable_sets` of stacked games, shape (G, Q, N).
 
-    Every (game, user, alive bin) is one row of a single level solve.  A
-    user whose alive bins cannot absorb the budget has NaN levels; it
-    saturates them, so it keeps those with a nonzero cap.
+    Row (g, q, k) prices user q's alive bins at the spread interference,
+    bin k at its interference-free price a and dead bins at infinity; bin k
+    is kept when the row's level mu gives clip(mu - a, 0, cap_k) > 1e-12.
+    Supply is nondecreasing in the level, so that holds iff cap_k > 1e-12
+    and the supply at t = a + 1e-12 falls short of the target N (a user
+    whose bins cannot absorb the budget falls short at every level and
+    keeps each bin with a cap).  This screen takes one pass per row and no
+    sort; only rows whose supply at t is NaN or within a rounding band of N
+    (scaled by N and t) take the level solve.  No array outgrows one
+    (rows, N) price stack.
     """
     G, Q, N = direct.shape
     if mode == "all":
@@ -96,18 +112,32 @@ def _usable(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
     cross[:, range(Q), range(Q)] = 0.0
     i_spread = 1.0 + cross.max(axis=1) * (float(Q - 1) * N / (N - 1))
     gamma, safe = Gamma[..., None], np.where(alive, direct, 1.0)
-    # One row per alive bin k: bin k is priced free of the adversary, the
-    # other bins at the spread interference, and dead bins never enter.
     g, q, k = np.nonzero(alive)
-    rows = np.arange(k.size)
     with np.errstate(over="ignore"):  # a subnormal direct gain prices its bin out
-        prices = np.where(alive, gamma * i_spread / safe, np.inf)[g, q]
-        prices[rows, k] = (gamma / safe)[g, q, k]
-    caps = pmax[g, q] if np.isfinite(pmax).any() else np.inf  # no (rows, N) copy of inf caps
-    mu = level_solve(prices, caps, float(N))
+        base = np.where(alive, gamma * i_spread / safe, np.inf)
+        own = (gamma / safe)[g, q, k]
+    capped = np.isfinite(pmax).any()  # else no (rows, N) copy of inf caps
     cap = pmax[g, q, k]
+    t = own + 1e-12
+    supply = base[g, q]
+    with np.errstate(invalid="ignore"):  # inf - inf: the row stays open
+        np.subtract(t[:, None], supply, out=supply)
+        supply[np.arange(k.size), k] = t - own
+        np.maximum(supply, 0.0, out=supply)
+        if capped:
+            np.minimum(supply, pmax[g, q], out=supply)
+        shortfall = float(N) - supply.sum(-1)
+    band = _SCREEN_BAND * N * (np.abs(t) + 1.0)
+    kept_rows = (shortfall > band) & (cap > 1e-12)
+    todo = np.flatnonzero(~(np.abs(shortfall) > band) & (cap > 1e-12))
+    if todo.size:
+        g, q, k, own, cap = g[todo], q[todo], k[todo], own[todo], cap[todo]
+        prices = base[g, q]
+        prices[np.arange(todo.size), k] = own
+        mu = level_solve(prices, pmax[g, q] if capped else np.inf, float(N))
+        kept_rows[todo] = np.where(np.isnan(mu), cap, np.clip(mu - own, 0.0, cap)) > 1e-12
     kept = np.zeros((G, Q, N), dtype=bool)
-    kept[g, q, k] = np.where(np.isnan(mu), cap, np.clip(mu - prices[rows, k], 0.0, cap)) > 1e-12
+    kept[alive] = kept_rows
     return kept
 
 
@@ -217,6 +247,20 @@ def perron_weights(M: np.ndarray) -> np.ndarray:
     return np.maximum(x, 1e-9)
 
 
+def _codes(margin, above_zero) -> np.ndarray:
+    """Verdict codes (indices into :data:`VERDICT_KINDS`) of margins, elementwise.
+
+    A margin must stay below 1 or, where ``above_zero``, above 0.  Within
+    1e-9 of its threshold it is a boundary case, and a NaN margin is an
+    error.  The one rule behind every verdict.
+    """
+    margin = np.asarray(margin, dtype=np.float64)
+    threshold = np.where(above_zero, 0.0, 1.0)
+    holds = np.where(above_zero, margin > threshold, margin < threshold)
+    return np.select([np.isnan(margin), np.abs(margin - threshold) <= _BOUNDARY], [3, 2],
+                     holds).astype(np.int8)
+
+
 def _verdict(name: str, margin, detail, above_zero: bool = False) -> ConditionVerdict:
     """Verdict of a margin that must stay below 1 or, for C7, above 0.
 
@@ -224,13 +268,12 @@ def _verdict(name: str, margin, detail, above_zero: bool = False) -> ConditionVe
     """
     threshold = 0.0 if above_zero else 1.0
     failed = isinstance(margin, NumericFailureError)
-    if failed or math.isnan(margin):
+    code = 3 if failed else int(_codes(margin, above_zero))
+    if code == 3:
         error = str(margin) if failed else f"{name} margin is NaN"
         return ConditionVerdict(name, None, np.nan, threshold, {}, error=error)
-    sat = None if abs(margin - threshold) <= _BOUNDARY else bool(
-        margin > threshold if above_zero else margin < threshold)
-    return ConditionVerdict(name=name, satisfied=sat, margin=float(margin), threshold=threshold,
-                            detail=detail)
+    return ConditionVerdict(name=name, satisfied=(False, True, None)[code], margin=float(margin),
+                            threshold=threshold, detail=detail)
 
 
 def _stacked(games) -> tuple:
@@ -253,13 +296,14 @@ def _radii(H: np.ndarray) -> list:
         return [err] if len(H) == 1 else [r for g in range(len(H)) for r in _radii(H[g:g + 1])]
 
 
-def check_stack(games, Dq_mode: str = "virtual_interferer") -> list:
-    """:func:`check_conditions` of every game in a sequence, certified as one stack.
+def _stage(games, Dq_mode: str) -> tuple:
+    """What :func:`check_stack` and :func:`verdict_codes` share, for stacked games.
 
-    The games must share (Q, N).  The usable sets of all users of all games
-    come from one level solve, the coupling matrices form one (G, N, Q, Q)
-    stack, C1 and C2 take one eigen-solve each and C3-C7 are evaluated for
-    all games at once.  Report g equals ``check_conditions(games[g])``.
+    Returns the usable sets (G, Q, N), the coupling stack (G, N, Q, Q), C2's
+    radius of each game (or the NumericFailureError of its eigen-solve),
+    the C3-C7 margins (G, 5) and the arrays that the report details quote:
+    both weightings, their C3/C4 sums, whether Perron weights won, the
+    strongest coupling and the per-bin C7 eigenvalues.
     """
     gain2, direct, pmax, Gamma = _stacked(list(games))
     G, Q, N = direct.shape
@@ -270,6 +314,8 @@ def check_stack(games, Dq_mode: str = "virtual_interferer") -> list:
     sums = {(name, label): (np.einsum(spec, Hk, w) / w[:, None, :]).max(axis=(1, 2))
             for label, w in weights.items()
             for name, spec in (("C3", "gkqr,gr->gkq"), ("C4", "gkqr,gq->gkr"))}
+    # The better weighting wins; unit weights on a tie.
+    perron = {name: sums[name, "perron"] < sums[name, "unit"] for name in ("C3", "C4")}
     # C5-C7 ignore bin pruning.  The strongest coupling into user q runs
     # over q's alive bins whatever the interferer's gain there; C7 keeps
     # the bins both users can use.
@@ -278,28 +324,81 @@ def check_stack(games, Dq_mode: str = "virtual_interferer") -> list:
     strongest = into_alive.max(axis=(1, 2, 3))
     H7 = into_alive * alive.transpose(0, 2, 1)[:, :, None, :]
     eigmins = np.linalg.eigvalsh(np.eye(Q) + 0.5 * (H7 + H7.swapaxes(-1, -2)))[..., 0]
+    margins = np.column_stack(
+        [np.where(perron[name], sums[name, "perron"], sums[name, "unit"]) for name in ("C3", "C4")]
+        + [strongest * (Q - 1), strongest * max(2 * Q - 3, 0), eigmins.min(axis=1)])
+    return kept, Hk, _radii(Hmax), margins, (weights, sums, perron, strongest, eigmins)
 
+
+def check_stack(games, Dq_mode: str = "virtual_interferer") -> list:
+    """:func:`check_conditions` of every game in a sequence, certified as one stack.
+
+    The games must share (Q, N).  The usable sets of all users of all games
+    come from one screen (see :func:`usable_sets`), the coupling matrices
+    form one (G, N, Q, Q) stack, C1 and C2 take one eigen-solve each and
+    C3-C7 are evaluated for all games at once.  Every margin is exact: C1
+    reports each bin's radius.  Report g equals ``check_conditions(games[g])``.
+    """
+    kept, Hk, rho_max, margins, (weights, sums, perron, strongest, eigmins) = _stage(
+        games, Dq_mode)
+    Q = Hk.shape[-1]
     reports = []
-    for g, rho_k, rho_max in zip(range(G), _radii(Hk), _radii(Hmax)):
+    for g, rho_k in enumerate(_radii(Hk)):
         failed = isinstance(rho_k, NumericFailureError)
-        s, m7 = float(strongest[g]), float(eigmins[g].min())
         verdicts = [
             _verdict("C1", rho_k if failed else rho_k.max(), {} if failed else {
                 "rho_per_bin": rho_k, "argmax_bin": int(rho_k.argmax())}),
-            _verdict("C2", rho_max, {}),
+            _verdict("C2", rho_max[g], {}),
         ]
-        for name in ("C3", "C4"):  # the better weighting wins; unit weights on a tie
-            best = "perron" if sums[name, "perron"][g] < sums[name, "unit"][g] else "unit"
-            verdicts.append(_verdict(name, sums[name, best][g], {
+        for c, name in enumerate(("C3", "C4")):
+            best = "perron" if perron[name][g] else "unit"
+            verdicts.append(_verdict(name, margins[g, c], {
                 "weights": weights[best][g], "weighting": best,
                 "unit_margin": float(sums[name, "unit"][g])}))
-        for name, n in (("C5", Q - 1), ("C6", max(2 * Q - 3, 0))):
-            verdicts.append(_verdict(
-                name, s * n, {"strongest_pair": s, "threshold_raw": 1.0 / max(n, 1)}))
-        verdicts.append(_verdict("C7", m7, {"argmin_bin": int(eigmins[g].argmin())},
+        for c, name, n in ((2, "C5", Q - 1), (3, "C6", max(2 * Q - 3, 0))):
+            verdicts.append(_verdict(name, margins[g, c], {
+                "strongest_pair": float(strongest[g]), "threshold_raw": 1.0 / max(n, 1)}))
+        verdicts.append(_verdict("C7", margins[g, 4], {"argmin_bin": int(eigmins[g].argmin())},
                                  above_zero=True))
         reports.append(UniquenessReport({v.name: v for v in verdicts}, Dq_mode, kept[g]))
     return reports
+
+
+def _c1_margins(Hk: np.ndarray) -> np.ndarray:
+    """C1 margins of a coupling stack (G, N, Q, Q), shape (G,), decided by bounds first.
+
+    For a nonnegative H, rho(H) <= min(max row sum, max column sum) and
+    rho(H) >= sqrt(H[q, r] H[r, q]) for every q != r.  A game whose upper
+    bound is below 1 - 1e-9 on every bin holds, and one with a bin whose
+    lower bound is above 1 + 1e-9 fails, each past a 1e-12 slack; its
+    margin is that bound.  Only the games left open take the eigen-solve,
+    each as a one-game view of the stack (its layout fixes how the
+    Collatz-Wielandt matvec rounds): the margin is its largest radius, or
+    NaN where it fails.
+    """
+    with np.errstate(over="ignore"):  # an overflowing bound is inf, and still a bound
+        upper = np.minimum(Hk.sum(-1).max(-1), Hk.sum(-2).max(-1)).max(-1)
+        lower = np.sqrt(Hk * Hk.swapaxes(-1, -2)).max(axis=(1, 2, 3))
+    holds = upper < 1.0 - _BOUNDARY - _BOUND_SLACK
+    margin = np.where(holds, upper, lower)
+    for g in np.flatnonzero(~holds & ~(lower > 1.0 + _BOUNDARY + _BOUND_SLACK)):
+        rho_k = _radii(Hk[g:g + 1])[0]
+        margin[g] = np.nan if isinstance(rho_k, NumericFailureError) else rho_k.max()
+    return margin
+
+
+def verdict_codes(games, Dq_mode: str = "virtual_interferer") -> np.ndarray:
+    """The verdicts of :func:`check_stack` as codes, shape (G, 7) int8.
+
+    Column c is condition ``CONDITION_NAMES[c]``; a code indexes
+    :data:`VERDICT_KINDS` (0 false, 1 true, 2 boundary, 3 error).  C2-C7
+    come from the same arrays as in :func:`check_stack`; C1 is decided by
+    rigorous bounds where they suffice, and its eigen-solve runs only on the
+    games they leave open, so a failing solve turns only those into errors.
+    """
+    _, Hk, rho_max, margins, _ = _stage(games, Dq_mode)
+    c2 = [np.nan if isinstance(rho, NumericFailureError) else rho for rho in rho_max]
+    return _codes(np.column_stack([_c1_margins(Hk), c2, margins]), _ABOVE_ZERO)
 
 
 def check_conditions(

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from specnash import NumericFailureError
 from specnash.channel import build_game
 from specnash.cli import main
 from specnash.experiments import (
@@ -154,6 +155,43 @@ class TestUniquenessMc:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    def test_boundary_and_error_verdicts_are_counted_and_noted(self, tmp_path, monkeypatch,
+                                                               capsys):
+        import specnash.uniqueness as uniqueness
+
+        cfg = MC_CFG | {"trials": 3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+
+        def montecarlo(out: str) -> str:
+            args = ["montecarlo", "--config", str(cfg_path), "--out", str(tmp_path / out)]
+            assert main(args) == 0
+            return capsys.readouterr().err
+
+        assert "note:" not in montecarlo("a.csv")
+
+        def failing(M):
+            raise NumericFailureError("eigen-solve failed")
+
+        monkeypatch.setattr(uniqueness, "spectral_radius", failing)
+        summary = run_uniqueness_mc(cfg, str(tmp_path / "b.csv"))
+        # Every C2 verdict and every C1 verdict its bounds leave open is an
+        # error, which the probability does not count as holding.
+        c1 = [summary["errors"][r, "virtual_interferer", "C1"] for r in cfg["d_ratio_sweep"]]
+        for r in cfg["d_ratio_sweep"]:
+            for mode in ("virtual_interferer", "all"):
+                assert summary["errors"][r, mode, "C2"] == 3
+                assert summary["probs"][r, mode, "C2"] == 0.0
+                assert summary["errors"][r, mode, "C3"] == 0
+        assert 0 < sum(c1) < 3 * len(c1)
+        errors = sum(summary["errors"].values())
+        boundary = sum(summary["boundary"].values())
+        assert montecarlo("c.csv") == (
+            f"note: {boundary} boundary and {errors} error verdicts, not counted as holding\n")
+        # The note leaves the files as run_uniqueness_mc writes them.
+        for suffix in (".csv", ".csv.meta.json"):
+            assert (tmp_path / f"c{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
     def test_accepted_keys(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -594,6 +632,26 @@ class TestConfigValidation:
         assert rc == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
+
+    @pytest.mark.parametrize("solver", [{"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-9}])
+    def test_solver_tol_must_be_positive(self, tmp_path, capsys, solver):
+        # A NaN tol passed the old "tol <= 0" check: the solve ran to max_iter
+        # and exited 0 with converged: false.
+        rc, out = self.run(tmp_path, "solve", PSD_CFG | {"solver": solver})
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: tol must be positive")
+
+    @pytest.mark.parametrize("change,key", [
+        ({"channel_order": -1}, "channel_order"),  # was a ZeroDivisionError traceback
+        ({"snr_db": 1e300}, "snr_db"),  # was an OverflowError traceback
+        ({"snr_db": float("inf")}, "snr_db"),
+    ])
+    def test_ratio_scenario_values_exit_code(self, tmp_path, capsys, change, key):
+        rc, out = self.run(tmp_path, "solve", PSD_CFG | {"scenario": PSD_CFG["scenario"] | change})
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {key} must ")
 
     def test_symmetric_region_rejects_three_users_before_the_grid(self, tmp_path, capsys,
                                                                    monkeypatch):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import flat_game, high_interference_game, random_c1_game
 from equilibrium_oracle import oracle_solve
@@ -24,7 +24,7 @@ from specnash.equilibrium import (
     solve,
 )
 from specnash.pareto import project_all, rate_array, random_feasible_profile
-from specnash.uniqueness import check_conditions, coupling_stack
+from specnash.uniqueness import check_conditions, coupling_stack, verdict_codes
 from specnash.waterfilling import waterfill_rows
 
 
@@ -174,14 +174,28 @@ class TestSolve:
                                  Gamma=game.Gamma[q], pmax=game.pmax[q])
             assert kkt_residual(res.profile.p[q], inp) <= 10 * 1e-9
 
-    def test_multistart_agreement_under_c1(self):
-        game, _, _ = random_c1_game(seed=21)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(Q=st.integers(2, 4), N=st.sampled_from([4, 8, 16]), d_ratio=st.floats(1.0, 4.0),
+           snr_db=st.floats(-5.0, 15.0), order=st.integers(0, 3), seed=st.integers(0, 2**16),
+           caps=st.one_of(st.none(), st.floats(0.1, 30.0)))
+    def test_multistart_agreement_under_c1(self, Q, N, d_ratio, snr_db, order, seed, caps):
+        # On a C1-certified game every start of either schedule reaches one
+        # profile: six starts (uniform and near-vertex draws) x 2 schedules.
+        pmax_bar = None
+        if caps is not None:
+            pmax_bar = caps * np.random.default_rng(seed).uniform(0.3, 3.0, (Q, N))
+        game = build_game(ratio_scenario(Q, N, d_ratio=d_ratio, snr_db=snr_db, channel_order=order,
+                                         seed=(seed,), pmax_bar=pmax_bar))
+        assume(verdict_codes([game])[0, 0] == 1)
         sols = []
-        for s in range(20):
-            init = random_feasible_profile(game, np.random.default_rng(s))
-            sols.append(solve(game, init=init, tol=1e-11).profile.p)
-        for s in sols[1:]:
-            assert np.abs(s - sols[0]).max() <= 1e-6
+        for s in range(6):
+            init = random_feasible_profile(game, np.random.default_rng(s), sparse=s % 2 == 1)
+            for schedule in ("sequential", "simultaneous"):
+                res = solve(game, schedule=schedule, init=init, tol=1e-11, max_iter=3000)
+                assert res.converged
+                sols.append(res.profile.p)
+        for p in sols[1:]:
+            assert np.abs(p - sols[0]).max() <= 1e-6
 
     def test_payoff_consistency(self):
         game, _, _ = random_c1_game(seed=4)

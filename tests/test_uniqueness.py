@@ -12,14 +12,16 @@ from specnash.channel import NormalizedGame, distance_sweep, ratio_distances
 from specnash.uniqueness import (
     CONDITION_NAMES,
     DQ_MODES,
+    VERDICT_KINDS,
     check_conditions,
     check_stack,
     coupling_stack,
     perron_weights,
     spectral_radius,
     usable_sets,
+    verdict_codes,
 )
-from uniqueness_oracle import oracle_check_conditions
+from uniqueness_oracle import oracle_check_conditions, oracle_usable_sets, oracle_usable_stack
 
 
 def char_poly_radius(M):
@@ -519,3 +521,184 @@ class TestStackAgainstOracle:
             check_stack([])
         with pytest.raises(InvalidInputError):
             check_stack([flat_game(Q=2, N=2), flat_game(Q=2, N=3)])
+
+
+@st.composite
+def screen_stacks(draw):
+    """Stacked (gain2, direct, pmax, Gamma) arrays for the usable-bin screen.
+
+    Gains span twelve decades; a direct gain may be dead, tiny (1e-300) or
+    subnormal (its price overflows to inf).  Caps are drawn partly from
+    0, 1e-13, 1, 2 and inf, which makes supplies that tie with the target
+    likely.
+    """
+    G, Q, N = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 10))
+    gain2 = 10.0 ** draw(arrays(np.float64, (G, Q, Q, N), elements=st.floats(-6.0, 6.0)))
+    kind = draw(arrays(np.int8, (G, Q, N), elements=st.integers(0, 5)))
+    direct = np.select([kind == 3, kind == 4, kind == 5], [0.0, 1e-300, 1e-310],
+                       gain2[:, range(Q), range(Q)])
+    gain2[:, range(Q), range(Q)] = direct
+    caps = draw(arrays(np.float64, (G, Q, N), elements=st.sampled_from(
+        [0.0, 1e-13, 1.0, 2.0, UNBOUNDED]) | st.floats(0.0, 3.0)))
+    pmax = caps if draw(st.booleans()) else np.full((G, Q, N), UNBOUNDED)
+    Gamma = draw(arrays(np.float64, (G, Q), elements=st.floats(1.0, 4.0)))
+    return gain2, direct, pmax, Gamma
+
+
+class TestUsableScreen:
+    """The supply screen in ``_usable`` equals the level-solve kernel it replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(stack=screen_stacks(), mode=st.sampled_from(DQ_MODES),
+           band=st.sampled_from([None, 1e-3, np.inf]))
+    def test_equals_level_solve_oracle(self, stack, mode, band):
+        # None keeps the screen's band; 1e-3 sends some rows, and inf every
+        # row with a usable cap, to the level solve.
+        with pytest.MonkeyPatch.context() as mp:
+            if band is not None:
+                mp.setattr(uniqueness, "_SCREEN_BAND", band)
+            kept = uniqueness._usable(*stack, mode)
+        assert kept.dtype == bool
+        np.testing.assert_array_equal(kept, oracle_usable_stack(*stack, mode))
+
+    def test_row_at_the_waterline_takes_the_level_solve(self, monkeypatch):
+        # User 0's bins 0-2 are cheap and saturate at caps summing to N = 4, so
+        # the supply of bin 3's row at its own price is N + 1e-12: inside the
+        # band, where only the level solve can tell.  Every other row is
+        # decided by the screen.
+        gain2 = np.full((2, 2, 4), 1e-3)
+        gain2[0, 0] = [10.0, 10.0, 10.0, 0.1]
+        gain2[1, 1] = 1.0
+        pmax = np.array([[2.0, 1.0, 1.0, 1.0], [UNBOUNDED] * 4])
+        game = NormalizedGame(gain2=gain2, pmax=pmax, Gamma=np.ones(2))
+        solved, level_solve = [], uniqueness.level_solve
+
+        def counted(prices, *args):
+            solved.append(len(prices))
+            return level_solve(prices, *args)
+
+        monkeypatch.setattr(uniqueness, "level_solve", counted)
+        kept = usable_sets(game)
+        assert solved == [1]
+        np.testing.assert_array_equal(kept, oracle_usable_sets(game))
+        assert not kept[0, 3] and kept[0, :3].all() and kept[1].all()
+
+
+def report_codes(report) -> list:
+    """check_stack's verdicts as verdict codes."""
+    kinds = {True: "true", False: "false", None: "boundary"}
+    return [VERDICT_KINDS.index("error" if report[name].error else kinds[report[name].satisfied])
+            for name in CONDITION_NAMES]
+
+
+@st.composite
+def code_stacks(draw):
+    """Up to four games sharing (Q, N) for the verdict codes.
+
+    Gains span twelve decades with dead and subnormal direct gains, some
+    games are capped, and some have their cross gains rescaled so that C1's
+    radius with every bin kept is 1 -/+ 5e-10 (inside the boundary band) or
+    1 -/+ 2e-9 (just outside it).
+    """
+    Q, N = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        gain2 = 10.0 ** draw(arrays(np.float64, (Q, Q, N), elements=st.floats(-6.0, 6.0)))
+        kind = draw(arrays(np.int8, (Q, N), elements=st.integers(0, 9)))
+        subnormal = (kind == 9) & (draw(st.integers(0, 3)) == 0)  # in about one game in four
+        gain2[range(Q), range(Q)] = np.select([kind == 8, subnormal], [0.0, 1e-310],
+                                              gain2[range(Q), range(Q)])
+        caps = draw(arrays(np.float64, (Q, N), elements=st.floats(0.0, 3.0)))
+        pmax = caps if draw(st.booleans()) else np.full((Q, N), UNBOUNDED)
+        Gamma = draw(arrays(np.float64, Q, elements=st.floats(1.0, 4.0)))
+        game = NormalizedGame(gain2=gain2, pmax=pmax, Gamma=Gamma)
+        rho = draw(st.sampled_from([None, 1 - 5e-10, 1 + 5e-10, 1 - 2e-9, 1 + 2e-9]))
+        if rho is not None and (kind < 8).all():
+            now = spectral_radius(coupling_stack(game, np.ones((Q, N), dtype=bool))).max()
+            if now > 0:
+                cross = ~np.eye(Q, dtype=bool)
+                gain2[cross] *= rho / now
+                game = NormalizedGame(gain2=gain2, pmax=pmax, Gamma=Gamma)
+        stack.append(game)
+    return stack
+
+
+class TestVerdictCodes:
+    @pytest.mark.parametrize("margin,above_zero,code", [
+        (0.5, False, 1), (1.5, False, 0), (1.0 - 5e-10, False, 2), (1.0 + 9e-10, False, 2),
+        (np.inf, False, 0), (np.nan, False, 3), (0.5, True, 1), (-0.5, True, 0),
+        (5e-10, True, 2), (np.nan, True, 3), (-np.inf, True, 0)])
+    def test_one_rule_for_codes_and_verdicts(self, margin, above_zero, code):
+        assert uniqueness._codes(margin, above_zero) == code
+        verdict = uniqueness._verdict("C", margin, {}, above_zero=above_zero)
+        assert (verdict.error is not None) == (code == 3)
+        assert verdict.satisfied is {0: False, 1: True}.get(code)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(stack=code_stacks(), mode=st.sampled_from(DQ_MODES))
+    def test_equal_check_stack_verdicts(self, stack, mode):
+        try:
+            expected = [report_codes(report) for report in check_stack(stack, mode)]
+        except Exception as err:  # a subnormal direct gain can fail C5-C7's arrays
+            with pytest.raises(type(err)):  # and a game that cannot be certified fails the stack
+                verdict_codes(stack, mode)
+            return
+        codes = verdict_codes(stack, mode)
+        assert codes.dtype == np.int8 and codes.shape == (len(stack), len(CONDITION_NAMES))
+        assert codes.tolist() == expected
+
+    def test_fig1_games_take_few_eigen_solves(self, monkeypatch):
+        radii = uniqueness._radii
+        c1_solves = []
+
+        def counted(H):
+            if H.ndim == 4:  # C1's per-bin stack, one game at a time
+                c1_solves.append(len(H))
+            return radii(H)
+
+        scen = dict(gamma=2.5, snr_db=-10.0, channel_order=6)
+        games_seen = 0
+        for trial in range(25):
+            ch = ratio_scenario(5, 64, seed=(3, trial), d_ratio=1.0, **scen)
+            games = distance_sweep(ch, [ratio_distances(5, r) for r in (1.0, 2.0, 4.0, 8.0)])
+            for mode in DQ_MODES:
+                expected = [report_codes(report) for report in check_stack(games, mode)]
+                with monkeypatch.context() as mp:
+                    mp.setattr(uniqueness, "_radii", counted)
+                    assert verdict_codes(games, mode).tolist() == expected
+                games_seen += len(games)
+        assert set(c1_solves) == {1}
+        assert 0 < len(c1_solves) < games_seen / 3
+
+    def test_eigen_failure_spares_bound_decided_games(self, monkeypatch):
+        # Flat Q = 3 games.  Coupling 0.25 has rho 0.5, and its row sums show
+        # that C1 holds; 0.75 has rho 1.5 inside its bounds 0.75..1.5; 1.2 has
+        # rho 2.4, and its pair bound 1.2 shows that C1 fails.
+        games = [flat_game(Q=3, coupling=c, N=4) for c in (0.25, 0.75, 1.2)]
+        expected = verdict_codes(games)
+
+        def failing(M):
+            raise NumericFailureError("eigen-solve failed")
+
+        monkeypatch.setattr(uniqueness, "spectral_radius", failing)
+        codes = verdict_codes(games)
+        assert expected[:, 0].tolist() == [1, 0, 0]
+        assert codes[:, 0].tolist() == [1, 3, 0]
+        assert (codes[:, 1] == 3).all()  # C2 always takes the eigen-solve
+        np.testing.assert_array_equal(codes[:, 2:], expected[:, 2:])
+
+    def test_eigen_failure_stays_with_its_game(self, monkeypatch):
+        games = [flat_game(Q=3, coupling=0.25, N=4), flat_game(Q=3, coupling=0.75, N=4)]
+        expected = verdict_codes(games)
+        solve = uniqueness.spectral_radius
+
+        def failing(M):
+            if (np.asarray(M) == 0.75).any():
+                raise NumericFailureError("eigen-solve failed")
+            return solve(M)
+
+        monkeypatch.setattr(uniqueness, "spectral_radius", failing)
+        codes = verdict_codes(games)
+        np.testing.assert_array_equal(codes[0], expected[0])
+        assert codes[1, :2].tolist() == [3, 3]
+        np.testing.assert_array_equal(codes[1, 2:], expected[1, 2:])

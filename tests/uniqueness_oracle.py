@@ -7,6 +7,10 @@ built alone, and C5/C6 take the strongest pairwise coupling in a Python
 double loop.  It shares the eigen-solvers ``spectral_radius`` and
 ``perron_weights`` with the package; those have their own oracle in
 ``perron_oracle.py``.
+
+``oracle_usable_stack`` is the stacked usable-set kernel as it stood before
+the supply screen: every (game, user, alive bin) row goes through one level
+solve.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import numpy as np
 
 from specnash.channel import NormalizedGame
 from specnash.errors import InvalidInputError, NumericFailureError
-from specnash.uniqueness import ConditionVerdict, UniquenessReport, perron_weights, spectral_radius
+from specnash.uniqueness import (DQ_MODES, ConditionVerdict, UniquenessReport, perron_weights,
+                                 spectral_radius)
 from specnash.waterfilling import level_solve
 
 _BOUNDARY = 1e-9
@@ -48,6 +53,40 @@ def oracle_usable_carriers(game: NormalizedGame, q: int, mode: str = "virtual_in
         return alive & (pmax_q > 1e-12)
     kept = np.zeros(N, dtype=bool)
     kept[own] = np.clip(mu - prices[rows, own], 0.0, pmax_q[own]) > 1e-12
+    return kept
+
+
+def oracle_usable_stack(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
+    """Usable sets of stacked games, shape (G, Q, N), from one level solve.
+
+    Every (game, user, alive bin) is one row of a single level solve.  A
+    user whose alive bins cannot absorb the budget has NaN levels; it
+    saturates them, so it keeps those with a nonzero cap.
+    """
+    G, Q, N = direct.shape
+    if mode == "all":
+        return np.ones((G, Q, N), dtype=bool)
+    if mode not in DQ_MODES:
+        raise InvalidInputError(f"unknown Dq mode {mode!r}")
+    alive = direct > 0
+    if Q == 1 or N == 1:
+        return alive
+    cross = gain2.copy()
+    cross[:, range(Q), range(Q)] = 0.0
+    i_spread = 1.0 + cross.max(axis=1) * (float(Q - 1) * N / (N - 1))
+    gamma, safe = Gamma[..., None], np.where(alive, direct, 1.0)
+    # One row per alive bin k: bin k is priced free of the adversary, the
+    # other bins at the spread interference, and dead bins never enter.
+    g, q, k = np.nonzero(alive)
+    rows = np.arange(k.size)
+    with np.errstate(over="ignore"):  # a subnormal direct gain prices its bin out
+        prices = np.where(alive, gamma * i_spread / safe, np.inf)[g, q]
+        prices[rows, k] = (gamma / safe)[g, q, k]
+    caps = pmax[g, q] if np.isfinite(pmax).any() else np.inf  # no (rows, N) copy of inf caps
+    mu = level_solve(prices, caps, float(N))
+    cap = pmax[g, q, k]
+    kept = np.zeros((G, Q, N), dtype=bool)
+    kept[g, q, k] = np.where(np.isnan(mu), cap, np.clip(mu - prices[rows, k], 0.0, cap)) > 1e-12
     return kept
 
 
