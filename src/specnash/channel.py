@@ -92,11 +92,13 @@ class ChannelSet:
             raise InvalidInputError("P must be (Q,) with positive entries")
         if self.sigma2.shape != (Q,) or not (self.sigma2 > 0).all():
             raise InvalidInputError("sigma2 must be (Q,) with positive entries")
+        if not math.isfinite(self.gamma):
+            raise InvalidInputError(f"gamma must be finite, got {self.gamma!r}")
         # Written so that NaN fails each test; an infinite cap is UNBOUNDED.
         if self.pmax_bar.shape != (Q, self.N) or not (self.pmax_bar >= 0).all():
             raise InvalidInputError("pmax_bar must be (Q, N) and nonnegative")
-        if self.Gamma.shape != (Q,) or not (self.Gamma >= 1).all():
-            raise InvalidInputError("Gamma must be (Q,) with entries >= 1")
+        if self.Gamma.shape != (Q,) or not ((self.Gamma >= 1) & np.isfinite(self.Gamma)).all():
+            raise InvalidInputError("Gamma must be (Q,) with finite entries >= 1")
 
 
 @dataclass(frozen=True)
@@ -248,11 +250,12 @@ def ratio_scenario(
     profile by default (per-tap variance ``1/(channel_order+1)``, or
     ``tap_variance``), or an exponential profile ``exp(-l/tap_decay)``
     (normalized) for mildly selective channels.  Streams are keyed by
-    ``(seed, r, q)``.  A negative ``channel_order`` and an ``snr_db`` whose
-    power is not finite are rejected by name.
+    ``(seed, r, q)``.  A ``channel_order`` below 0 or with more taps than
+    bins, and an ``snr_db`` whose power is not finite, are rejected by name
+    before any tap is drawn.
     """
-    if channel_order < 0:
-        raise InvalidInputError(f"channel_order must be >= 0, got {channel_order!r}")
+    if not 0 <= channel_order < N:
+        raise InvalidInputError(f"channel_order must be >= 0 and < N = {N}, got {channel_order!r}")
     try:
         snr = 10.0 ** (snr_db / 10.0)
     except OverflowError:

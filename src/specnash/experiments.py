@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import os
+from dataclasses import dataclass
 from itertools import chain
 from multiprocessing import Pool
 
@@ -37,12 +39,135 @@ from .uniqueness import (CONDITION_NAMES, DQ_MODES, VERDICT_KINDS, check_conditi
 
 CSV_SCHEMA_VERSION = 1
 
-# The keys of each scenario entry kind and the JSON type of their values.
-_RAW_KEYS = {"taps": list, "d": list, "gamma": float, "P": list, "sigma2": list, "Gamma": list,
-             "N": int, "pmax_bar": list}
-_RATIO_KEYS = {"Q": int, "N": int, "gamma": float, "d_ratio": float, "snr_db": float,
-               "Gamma": float, "channel_order": int, "tap_variance": float, "tap_decay": float,
-               "d": list}
+
+@dataclass(frozen=True)
+class _Ints:
+    """Spec of a JSON integer of at least ``least``."""
+
+    least: int
+
+
+@dataclass(frozen=True)
+class _Array:
+    """Spec of a JSON number array of ``ndim`` axes, read as float64."""
+
+    ndim: int
+    null: float = math.nan  # what a JSON null entry reads as
+
+
+_REQUIRED = object()
+_COMMON = {"kind": (str, None), "out": (str, None), "seed": (_Ints(0), 0),
+           "scenario": ("scenario", _REQUIRED)}
+_REGION_MODES = ("symmetric", "asymmetric", "channel_order")
+_REGION = _COMMON | {"mode": (_REGION_MODES, "symmetric")}
+_PAYOFFS = ("mutual_information", "gap")
+
+# The keys of each config entry kind: key -> (spec, default), where _REQUIRED marks a key that
+# must be given, and a key whose default is None also takes null.  A spec is a JSON type (an
+# integer passes where a number is read, and reads as a float), an _Ints, a tuple of allowed
+# strings, [spec] for a non-empty array of spec, an _Array, or the kind of a nested object
+# ("scenario": a raw entry if it has taps, else a ratio entry).
+_SCHEMAS = {
+    "raw scenario": {"taps": (_Array(4), _REQUIRED), "d": (_Array(2), _REQUIRED),
+                     "gamma": (float, _REQUIRED), "P": (_Array(1), _REQUIRED),
+                     "sigma2": (_Array(1), _REQUIRED), "Gamma": (_Array(1), _REQUIRED),
+                     "N": (_Ints(1), _REQUIRED), "pmax_bar": (_Array(2, null=UNBOUNDED), None)},
+    # ratio_scenario's parameters at its defaults.
+    "ratio scenario": {"Q": (_Ints(1), _REQUIRED), "N": (_Ints(1), _REQUIRED),
+                       "gamma": (float, 2.5), "d_ratio": (float, 2.0), "snr_db": (float, 10.0),
+                       "Gamma": (float, 1.0), "channel_order": (int, 6),
+                       "tap_variance": (float, None), "tap_decay": (float, None),
+                       "d": (_Array(2), None)},
+    "uniqueness_mc": _COMMON | {"trials": (_Ints(1), 500), "d_ratio_sweep": ([float], None),
+                                "Dq_modes": ([DQ_MODES], list(DQ_MODES)),
+                                "conditions": ([CONDITION_NAMES], list(CONDITION_NAMES))},
+    "check_uniqueness": _COMMON | {"Dq_mode": (DQ_MODES, "virtual_interferer")},
+    "psd": _COMMON | {"check_rule": (bool, False), "solver": ("psd solver", {})},
+    "psd solver": {"schedule": (str, "sequential"), "tol": (float, 1e-8),
+                   "max_iter": (_Ints(1), 2000)},
+    "rate_region symmetric": _REGION | {
+        "resolution": (_Ints(2), 16), "splits": (_Ints(1), 8), "mg_tol": (float, 1e-6),
+        "lambda_sweep": ([_Array(1)], [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]])},
+    "rate_region asymmetric": _REGION | {
+        "seeds": (_Ints(1), 20), "restarts": (_Ints(1), 8), "d12_over_d21": (float, 0.2),
+        "d_cross_geomean": (float, 2.0)},
+    "rate_region channel_order": _REGION | {"orders": ([_Ints(0)], [0, 4, 8]),
+                                            "seeds": (_Ints(1), 100)},
+    "verify_theorem1": _COMMON | {"instances": (_Ints(1), 10), "samples": (int, 200),
+                                  "payoffs": ([_PAYOFFS], list(_PAYOFFS)),
+                                  "gap_Gamma": (float, 3.0)},
+}
+
+# Config values by JSON type.
+_KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
+          bool: (bool, "boolean"), str: (str, "string"), dict: (dict, "object")}
+
+
+def _config(cfg: dict, kind: str) -> dict:
+    """Every key of entry kind ``kind`` (see ``_SCHEMAS``): as ``cfg`` gives it, read by its
+    spec, or at its default.  A value that does not fit its spec, a missing required key and an
+    unknown key are rejected by name."""
+    if kind == "scenario":
+        kind = "raw scenario" if "taps" in cfg else "ratio scenario"
+    out = {}
+    for key, (spec, default) in _SCHEMAS[kind].items():
+        value = cfg.get(key, default)
+        if value is _REQUIRED:
+            raise InvalidInputError(f"config key {key!r} is required: {_describe(spec)}")
+        out[key] = None if value is None and default is None else _read(key, value, spec)
+    unknown = ", ".join(sorted(key for key in cfg if key not in out))
+    if unknown:
+        raise InvalidInputError(f"unknown {kind} keys: {unknown}")
+    return out
+
+
+def _read(key: str, value, spec):
+    """``value`` read by ``spec`` (see ``_SCHEMAS``), or rejected by ``key`` if it does not fit."""
+    read = value
+    if isinstance(spec, _Array):
+        try:
+            read = np.asarray(value, dtype=np.float64)
+            fits = read.ndim == spec.ndim
+        except (TypeError, ValueError, OverflowError):  # a non-number, or a ragged array
+            fits = False
+        if fits and not math.isnan(spec.null) and np.isnan(read).any():  # a NaN literal stays
+            read[np.equal(np.asarray(value, dtype=object), None)] = spec.null
+    elif isinstance(spec, list):
+        fits = type(value) is list and len(value) > 0
+        read = [_read(key, v, spec[0]) for v in value] if fits else value
+    elif isinstance(spec, tuple):
+        if isinstance(value, str) and value not in spec:
+            raise InvalidInputError(f"unknown {key} {value!r} (expected {', '.join(spec)})")
+        fits = isinstance(value, str)
+    elif isinstance(spec, str):
+        fits = isinstance(value, dict)
+        read = _config(value, spec) if fits else value
+    else:
+        kind = int if isinstance(spec, _Ints) else spec
+        fits = isinstance(value, _KINDS[kind][0]) and isinstance(value, bool) == (kind is bool)
+        if fits and isinstance(spec, _Ints):
+            fits = value >= spec.least
+        if fits and kind is float:
+            try:
+                read = float(value)
+            except OverflowError:  # an integer past the float range
+                fits = False
+    if not fits:
+        raise InvalidInputError(f"config key {key!r} must be {_describe(spec)}, got {value!r}")
+    return read
+
+
+def _describe(spec) -> str:
+    """What ``spec`` reads, for a rejection message."""
+    if isinstance(spec, _Array):
+        return f"a {spec.ndim}-d JSON array of numbers"
+    if isinstance(spec, list):
+        return f"a non-empty JSON array, each entry {_describe(spec[0])}"
+    if isinstance(spec, tuple):
+        return "one of " + ", ".join(spec)
+    if isinstance(spec, _Ints):
+        return f"a JSON integer >= {spec.least}"
+    return "a JSON " + _KINDS[dict if isinstance(spec, str) else spec][1]
 
 
 def scenario_from_config(scen: dict, seed) -> ChannelSet:
@@ -50,80 +175,19 @@ def scenario_from_config(scen: dict, seed) -> ChannelSet:
 
     Raw entry: explicit taps (nested [re, im] pairs), distances, powers.
     Ratio entry: Q/N plus gamma, d_ratio, snr_db, Gamma, channel_order;
-    the taps are drawn from streams keyed by ``seed``.  A key the entry
-    does not use and a value of the wrong JSON type are rejected by key.
+    the taps are drawn from streams keyed by ``seed``.  The entry is
+    checked against its kind's ``_SCHEMAS`` table first, whose keys are
+    the parameters of ``ChannelSet`` and of ``ratio_scenario``.
     """
-    _checked_scenario(scen)
-    if "taps" in scen:
-        taps = np.asarray(scen["taps"], dtype=np.float64)
-        if taps.ndim != 4 or taps.shape[-1] != 2:
-            raise InvalidInputError("raw taps must be a (Q, Q, L+1, 2) re/im array")
-        pmax_bar = scen.get("pmax_bar")
-        N = int(scen["N"])
-        Q = taps.shape[0]
-        if pmax_bar is None:
-            pmax_bar = np.full((Q, N), UNBOUNDED)
-        else:
-            pmax_bar = np.asarray(
-                [[UNBOUNDED if v is None else v for v in row] for row in pmax_bar]
-            )
-        return ChannelSet(
-            taps=taps[..., 0] + 1j * taps[..., 1],
-            d=np.asarray(scen["d"], dtype=np.float64),
-            gamma=float(scen["gamma"]),
-            P=np.asarray(scen["P"], dtype=np.float64),
-            sigma2=np.asarray(scen["sigma2"], dtype=np.float64),
-            pmax_bar=pmax_bar,
-            Gamma=np.asarray(scen["Gamma"], dtype=np.float64),
-            N=N,
-        )
-    kwargs = {k: v for k, v in scen.items() if k not in ("Q", "N")}
-    if "d" in kwargs:
-        kwargs["d"] = np.asarray(kwargs["d"], dtype=np.float64)
-    return ratio_scenario(int(scen["Q"]), int(scen["N"]), seed=seed, **kwargs)
-
-
-def _checked_scenario(scen: dict) -> dict:
-    """``scen`` once each key is one its entry kind uses and holds a value of its type."""
-    kind, keys = ("raw", _RAW_KEYS) if "taps" in scen else ("ratio", _RATIO_KEYS)
-    _reject_unknown(f"{kind} scenario keys", scen, keys)
-    for key in scen:
-        _setting(scen, key, None, keys[key])
-    return scen
-
-
-def _reject_unknown(what: str, given, known) -> None:
-    """Reject, by name, the entries of ``given`` (a dict's keys or a list) not in ``known``."""
-    unknown = ", ".join(sorted(str(v) for v in given if v not in known))
-    if unknown:
-        raise InvalidInputError(f"unknown {what}: {unknown}")
-
-
-# Config values by JSON type; an integer passes where a number is read.
-_KINDS = {int: (numbers.Integral, "integer"), float: (numbers.Real, "number"),
-          bool: (bool, "boolean"), str: (str, "string"), list: (list, "array"),
-          dict: (dict, "object")}
-
-
-def _setting(cfg: dict, key: str, default, kind, entries=None):
-    """``cfg[key]`` (``default`` when absent) if it is a ``kind``, each entry an
-    ``entries`` for a list; else rejected by key, not left to fail deeper in."""
-    def fits(v, k):
-        return isinstance(v, _KINDS[k][0]) and (k is bool or not isinstance(v, bool))
-
-    value = cfg.get(key, default)
-    if not (fits(value, kind) and (entries is None or all(fits(v, entries) for v in value))):
-        what = _KINDS[kind][1] + (f" of {_KINDS[entries][1]}s" if entries else "")
-        raise InvalidInputError(f"config key {key!r} must be a JSON {what}, got {value!r}")
-    return value
-
-
-def _count(cfg: dict, key: str, default: int, least: int = 1) -> int:
-    """``cfg[key]`` (``default`` when absent) if it is an integer of at least ``least``."""
-    n = int(_setting(cfg, key, default, int))
-    if n < least:
-        raise InvalidInputError(f"config key {key!r} must be >= {least}, got {n}")
-    return n
+    scen = _config(scen, "scenario")
+    if "taps" not in scen:
+        return ratio_scenario(seed=seed, **scen)
+    taps = scen["taps"]
+    if taps.shape[-1] != 2:
+        raise InvalidInputError("raw taps must be a (Q, Q, L+1, 2) re/im array")
+    if scen["pmax_bar"] is None:
+        scen["pmax_bar"] = np.full((len(taps), scen["N"]), UNBOUNDED)
+    return ChannelSet(**dict(scen, taps=taps[..., 0] + 1j * taps[..., 1]))
 
 
 def _fmt(x) -> str:
@@ -212,12 +276,9 @@ def _uniqueness_trial(args):
     scen, root_seed, trial, ratios, modes = args
     ch = scenario_from_config(scen, seed=(root_seed, trial))
     # An explicit distance matrix overrides d_ratio, as in ratio_scenario.
-    games = distance_sweep(ch, [ch.d if "d" in scen else ratio_distances(ch.Q, r) for r in ratios])
+    explicit = scen["d"] is not None
+    games = distance_sweep(ch, [ch.d if explicit else ratio_distances(ch.Q, r) for r in ratios])
     return np.stack([verdict_codes(games, mode) for mode in modes], axis=1)
-
-
-_MC_KEYS = {"kind", "out", "seed", "scenario", "trials", "d_ratio_sweep", "Dq_modes",
-            "conditions"}
 
 
 def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
@@ -230,31 +291,20 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     (:func:`verdict_codes`).  A probability counts the verdicts that hold;
     the result also counts, per (ratio, mode, condition), the boundary and
     error verdicts that it leaves out (``"boundary"``, ``"errors"``).
-    Rejects an unknown config key, condition or Dq mode, an empty sweep,
-    mode or condition list and a raw (taps) scenario, which cannot be
-    redrawn per trial, before any channel is built.  ``workers`` is capped
-    at the CPU count.
+    Rejects a config that does not fit ``_SCHEMAS["uniqueness_mc"]`` and
+    a raw (taps) scenario, which cannot be redrawn per trial, before any
+    channel is built.  ``workers`` is capped at the CPU count.
     """
-    _reject_unknown("uniqueness_mc config keys", cfg, _MC_KEYS)
-    scen = _checked_scenario(_setting(cfg, "scenario", None, dict))
+    conf = _config(cfg, "uniqueness_mc")
+    scen, trials, modes = conf["scenario"], conf["trials"], conf["Dq_modes"]
     if "taps" in scen:
         raise InvalidInputError("uniqueness_mc redraws the taps per trial: use a ratio scenario")
-    root_seed = int(_setting(cfg, "seed", 0, int))
-    trials = _count(cfg, "trials", 500)
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    ratios = [float(r) for r in
-              _setting(cfg, "d_ratio_sweep", [scen.get("d_ratio", 2.0)], list, float)]
-    modes = _setting(cfg, "Dq_modes", list(DQ_MODES), list, str)
-    conditions = _setting(cfg, "conditions", list(CONDITION_NAMES), list, str)
-    if not (ratios and modes and conditions):
-        raise InvalidInputError("d_ratio_sweep, Dq_modes and conditions must each name an entry")
-    _reject_unknown(f"Dq_modes (expected {', '.join(DQ_MODES)})", modes, DQ_MODES)
-    _reject_unknown(f"conditions (expected {', '.join(CONDITION_NAMES)})", conditions,
-                    CONDITION_NAMES)
+    ratios = conf["d_ratio_sweep"] or [scen["d_ratio"]]
 
-    jobs = [(scen, root_seed, t, ratios, modes) for t in range(trials)]
+    jobs = [(scen, conf["seed"], t, ratios, modes) for t in range(trials)]
     if workers > 1:
         with Pool(workers) as pool:
             codes = np.stack(pool.map(_uniqueness_trial, jobs))
@@ -267,7 +317,7 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     for i, ratio in enumerate(ratios):
         for j, mode in enumerate(modes):
             for c, name in enumerate(CONDITION_NAMES):
-                if name not in conditions:
+                if name not in conf["conditions"]:
                     continue
                 p = counts["true"][i, j, c] / trials
                 probs[(ratio, mode, name)] = p
@@ -293,19 +343,13 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # uniqueness conditions of one scenario
 
-_CHECK_KEYS = {"kind", "out", "seed", "scenario", "Dq_mode"}
-
-
 def run_check_uniqueness(cfg: dict, out_path: str) -> dict:
-    """Evaluate the seven uniqueness conditions and emit the JSON report;
-    an unknown config key or Dq mode is rejected before any channel is built."""
-    _reject_unknown("check_uniqueness config keys", cfg, _CHECK_KEYS)
-    root_seed = int(_setting(cfg, "seed", 0, int))
-    Dq_mode = _setting(cfg, "Dq_mode", "virtual_interferer", str)
-    _reject_unknown(f"Dq_mode (expected {', '.join(DQ_MODES)})", [Dq_mode], DQ_MODES)
-    ch = scenario_from_config(_setting(cfg, "scenario", None, dict), seed=(root_seed,))
-    report = check_conditions(build_game(ch), Dq_mode=Dq_mode)
-    payload = report.to_dict()
+    """Evaluate the seven uniqueness conditions and emit the JSON report; a
+    config that does not fit its ``_SCHEMAS`` table is rejected before any
+    channel is built."""
+    conf = _config(cfg, "check_uniqueness")
+    ch = scenario_from_config(conf["scenario"], seed=(conf["seed"],))
+    payload = check_conditions(build_game(ch), Dq_mode=conf["Dq_mode"]).to_dict()
     _write_json(out_path, payload)
     return payload
 
@@ -313,27 +357,15 @@ def run_check_uniqueness(cfg: dict, out_path: str) -> dict:
 # ---------------------------------------------------------------------------
 # equilibrium PSD snapshot
 
-_PSD_KEYS = {"kind", "out", "seed", "scenario", "solver", "check_rule"}
-_SOLVER_KEYS = {"schedule", "tol", "max_iter"}
-
-
 def run_psd(cfg: dict, out_path: str) -> dict:
     """Solve one scenario to equilibrium and emit the per-bin powers.
 
-    Rejects a config or ``solver`` key it does not read before any channel
-    is built.
+    Rejects a config that does not fit its ``_SCHEMAS`` table, ``solver``
+    block included, before any channel is built.
     """
-    solver = _setting(cfg, "solver", {}, dict)
-    _reject_unknown("psd config keys", cfg, _PSD_KEYS)
-    _reject_unknown("psd solver keys", solver, _SOLVER_KEYS)
-    root_seed = int(_setting(cfg, "seed", 0, int))
-    check_rule = _setting(cfg, "check_rule", False, bool)
-    schedule = _setting(solver, "schedule", "sequential", str)
-    tol = float(_setting(solver, "tol", 1e-8, float))
-    max_iter = _count(solver, "max_iter", 2000)
-    ch = scenario_from_config(_setting(cfg, "scenario", None, dict), seed=(root_seed,))
-    game = build_game(ch)
-    res = solve(game, schedule=schedule, tol=tol, max_iter=max_iter)
+    conf = _config(cfg, "psd")
+    game = build_game(scenario_from_config(conf["scenario"], seed=(conf["seed"],)))
+    res = solve(game, **conf["solver"])
     rows = [f"{q},{k},{v!r}\n" for q, powers in enumerate(res.profile.p.tolist(), 1)
             for k, v in enumerate(powers, 1)]
     with open(out_path, "w", newline="\n") as fh:  # csv.writer's lines, none needing quotes
@@ -354,7 +386,7 @@ def run_psd(cfg: dict, out_path: str) -> dict:
         "flatness": cls.flatness.tolist(),
         "exclusive": [(idx + 1).tolist() for idx in cls.exclusive],
     }
-    if check_rule and cls.orthogonal:
+    if conf["check_rule"] and cls.orthogonal:
         try:
             rule = check_allocation_rule(res, game)
             meta["allocation_rule"] = {
@@ -375,12 +407,6 @@ def _lambda_label(lam) -> str:
     return ":".join(_fmt(v) for v in lam)
 
 
-_REGION_KEYS = {"kind", "out", "seed", "scenario", "mode"}
-_REGION_MODE_KEYS = {"symmetric": {"resolution", "lambda_sweep", "mg_tol", "splits"},
-                     "asymmetric": {"seeds", "restarts", "d12_over_d21", "d_cross_geomean"},
-                     "channel_order": {"orders", "seeds"}}
-
-
 def run_rate_region(cfg: dict, out_path: str) -> dict:
     """Equilibria against the cooperative frontier.
 
@@ -390,42 +416,35 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
     mode="asymmetric": seeds x one asymmetric geometry; emits equilibrium
     and best weighted-sum rates per seed (sum-rate loss in the sidecar).
     mode="channel_order": average equilibrium rates per channel order.
-    Rejects an unknown mode, a key its mode does not read, a count out of
-    range, an empty list and, in the two modes that redraw the taps, a raw
-    (taps) scenario before any channel is built.
+    Rejects a config that does not fit the ``_SCHEMAS`` table of its mode
+    and, in the two modes that redraw the taps, a raw (taps) scenario
+    before any channel is built.
     """
-    mode = _setting(cfg, "mode", "symmetric", str)
-    _reject_unknown("rate_region mode", [mode], _REGION_MODE_KEYS)
-    _reject_unknown(f"rate_region {mode} config keys", cfg, _REGION_KEYS | _REGION_MODE_KEYS[mode])
-    root_seed = int(_setting(cfg, "seed", 0, int))
-    scen = _checked_scenario(_setting(cfg, "scenario", None, dict))
+    mode = cfg.get("mode", "symmetric")
+    conf = _config(cfg, f"rate_region {mode if mode in _REGION_MODES else 'symmetric'}")
+    root_seed, scen = conf["seed"], conf["scenario"]
     if mode != "symmetric" and "taps" in scen:
         raise InvalidInputError(f"rate_region {mode} mode redraws the taps per seed: "
                                 "use a ratio scenario")
     rows = []
     meta: dict = {"kind": "rate_region", "mode": mode, "config": cfg}
-    Q_out = int(scen["Q"]) if "Q" in scen else None
+    Q_out = scen.get("Q")
 
     if mode == "symmetric":
-        resolution = _count(cfg, "resolution", 16, least=2)
-        lam_sweep = _setting(cfg, "lambda_sweep", [[1.0, 1.0], [1.0, 2.0], [2.0, 1.0]], list)
-        if not lam_sweep:
-            raise InvalidInputError("config key 'lambda_sweep' must name a weight vector")
-        mg_tol = float(_setting(cfg, "mg_tol", 1e-6, float))
-        splits = np.linspace(0.15, 0.85, _count(cfg, "splits", 8))
+        splits = np.linspace(0.15, 0.85, conf["splits"])
         ch = scenario_from_config(scen, seed=(root_seed,))
         game = build_game(ch)
         Q_out = game.Q
         # First, so that a game it is not defined for (Q != 2) fails before the grid.
         split_rates = total_split_rates(game, splits)
-        region = sample_rate_region(game, resolution)
+        region = sample_rate_region(game, conf["resolution"])
         for pt in region.points[region.pareto]:
             rows.append(["grid_pareto", ""] + [_fmt(v) for v in pt])
         ne = solve(game, tol=1e-9)
         ne_rates = rate_array(ne.profile.p, game)
         rows.append(["ne", ""] + [_fmt(v) for v in ne_rates])
-        for lam in lam_sweep:
-            mg = solve_modified_game(game, lam, tol=mg_tol)
+        for lam in conf["lambda_sweep"]:
+            mg = solve_modified_game(game, lam, tol=conf["mg_tol"])
             rows.append(["modified_game", _lambda_label(lam)] + [_fmt(v) for v in mg.rates])
         for t, pt in zip(splits, split_rates):
             rows.append(["ne_total_split", _fmt(t)] + [_fmt(v) for v in pt])
@@ -433,25 +452,20 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         meta["ne_converged"] = ne.converged
         meta["pareto_count"] = int(region.pareto.sum())
     elif mode == "asymmetric":
-        seeds = _count(cfg, "seeds", 20)
-        restarts = _count(cfg, "restarts", 8)
-        ratio = float(_setting(cfg, "d12_over_d21", 0.2, float))
-        geo = float(_setting(cfg, "d_cross_geomean", 2.0, float))
-        if int(scen["Q"]) != 2:
+        ratio, geo = conf["d12_over_d21"], conf["d_cross_geomean"]
+        if scen["Q"] != 2:
             raise InvalidInputError("asymmetric mode is two-user")
         d = np.ones((2, 2))
         d[0, 1] = geo * np.sqrt(ratio)
         d[1, 0] = geo / np.sqrt(ratio)
         losses = []
-        for s in range(seeds):
-            sc = dict(scen)
-            sc["d"] = d.tolist()
-            ch = scenario_from_config(sc, seed=(root_seed, s))
+        for s in range(conf["seeds"]):
+            ch = scenario_from_config(dict(scen, d=d), seed=(root_seed, s))
             game = build_game(ch)
             ne = solve(game, tol=1e-9)
             ne_rates = rate_array(ne.profile.p, game)
-            sc_res = solve_scalarized(game, np.ones(2), restarts=restarts, seed=root_seed + s,
-                                      tol=1e-9)
+            sc_res = solve_scalarized(game, np.ones(2), restarts=conf["restarts"],
+                                      seed=root_seed + s, tol=1e-9)
             opt_rates = rate_array(sc_res.profile.p, game)
             loss = 1.0 - ne_rates.sum() / max(sc_res.value, 1e-300)
             losses.append(loss)
@@ -460,18 +474,12 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         meta["sum_rate_loss"] = losses
         meta["max_loss"] = max(losses)
     else:
-        orders = [int(v) for v in _setting(cfg, "orders", [0, 4, 8], list, int)]
-        if not orders or min(orders) < 0:
-            raise InvalidInputError(f"config key 'orders' must list orders >= 0, got {orders}")
-        seeds = _count(cfg, "seeds", 100)
-        Q = int(scen["Q"])
+        seeds = conf["seeds"]
         means = {}
-        for L in orders:
-            acc = np.zeros(Q)
+        for L in conf["orders"]:
+            acc = np.zeros(Q_out)
             for s in range(seeds):
-                sc = dict(scen)
-                sc["channel_order"] = L
-                ch = scenario_from_config(sc, seed=(root_seed, L, s))
+                ch = scenario_from_config(dict(scen, channel_order=L), seed=(root_seed, L, s))
                 game = build_game(ch)
                 ne = solve(game, tol=1e-8)
                 acc += rate_array(ne.profile.p, game)
@@ -488,33 +496,19 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
 # ---------------------------------------------------------------------------
 # diagonal-optimality verification
 
-_THEOREM1_KEYS = {"kind", "out", "seed", "instances", "samples", "payoffs", "gap_Gamma",
-                  "scenario"}
-_PAYOFFS = ("mutual_information", "gap")
-
-
 def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
     """Random-precoder dominance experiment across instances and payoffs.
 
-    Rejects a config key it does not read, fewer than one instance, an
-    empty payoff list and an unknown payoff name before any channel is built.
+    Rejects a config that does not fit its ``_SCHEMAS`` table before any
+    channel is built.
     """
-    _reject_unknown("verify_theorem1 config keys", cfg, _THEOREM1_KEYS)
-    root_seed = int(_setting(cfg, "seed", 0, int))
-    instances = _count(cfg, "instances", 10)
-    samples = int(_setting(cfg, "samples", 200, int))
-    payoffs = _setting(cfg, "payoffs", list(_PAYOFFS), list, str)
-    gap_gamma = float(_setting(cfg, "gap_Gamma", 3.0, float))
-    scen = _setting(cfg, "scenario", None, dict)
-    if not payoffs:
-        raise InvalidInputError("payoffs must name at least one payoff")
-    _reject_unknown(f"payoffs (expected {', '.join(_PAYOFFS)})", payoffs, _PAYOFFS)
-
+    conf = _config(cfg, "verify_theorem1")
+    root_seed, payoffs = conf["seed"], conf["payoffs"]
     results = []
-    for inst in range(instances):
-        ch = scenario_from_config(scen, seed=(root_seed, inst))
+    for inst in range(conf["instances"]):
+        ch = scenario_from_config(conf["scenario"], seed=(root_seed, inst))
         seeds = [root_seed * 1000003 + inst * 101 + q for q in range(ch.Q)]
-        reports = verify_instance(ch, seeds, samples, payoffs, gap_gamma)
+        reports = verify_instance(ch, seeds, conf["samples"], payoffs, conf["gap_Gamma"])
         pairs = [(q, payoff) for q in range(ch.Q) for payoff in payoffs]
         results += [{"instance": inst, "user": q, "payoff": payoff, "violations": rep.violations,
                      "max_gap": rep.max_gap, "best_response_value": rep.best_response_value}

@@ -23,10 +23,12 @@ from .rng import derive_rng
 from .waterfilling import PowerProfile, WaterfillInput, level_solve, waterfill
 
 
-def _check_weights(weights, Q: int) -> np.ndarray:
+def _check_weights(weights, Q: int, tol: float) -> np.ndarray:
+    if not tol > 0:  # NaN too
+        raise InvalidInputError(f"tol must be positive, got {tol!r}")
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (Q,) or (w <= 0).any():
-        raise InvalidInputError("weights must be (Q,) and strictly positive")
+    if w.shape != (Q,) or not ((w > 0) & np.isfinite(w)).all():
+        raise InvalidInputError("weights must be (Q,), finite and strictly positive")
     return w
 
 
@@ -274,7 +276,7 @@ def solve_scalarized(
     only local optimality is claimed; restarts are seeded and their final
     values reported so callers can judge the spread.
     """
-    w = _check_weights(weights, game.Q)
+    w = _check_weights(weights, game.Q, tol)
 
     def value(p):
         return float(w @ rate_array(p, game))
@@ -330,7 +332,7 @@ def solve_modified_game(
     all users are applied simultaneously, Rosen style.  The residual is
     the sup-norm displacement of one unit-step projected update.
     """
-    w = _check_weights(weights, game.Q)
+    w = _check_weights(weights, game.Q, tol)
     p = np.minimum(1.0, game.pmax) if init is None else project_all(np.asarray(init, float), game)
 
     def objective(x):

@@ -323,7 +323,10 @@ def _stage(games, Dq_mode: str) -> tuple:
     into_alive = _couplings(gain2, direct, Gamma, alive, np.ones_like(alive))
     strongest = into_alive.max(axis=(1, 2, 3))
     H7 = into_alive * alive.transpose(0, 2, 1)[:, :, None, :]
-    eigmins = np.linalg.eigvalsh(np.eye(Q) + 0.5 * (H7 + H7.swapaxes(-1, -2)))[..., 0]
+    try:
+        eigmins = np.linalg.eigvalsh(np.eye(Q) + 0.5 * (H7 + H7.swapaxes(-1, -2)))[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise NumericFailureError(f"eigen-solve failed: {err}") from err
     margins = np.column_stack(
         [np.where(perron[name], sums[name, "perron"], sums[name, "unit"]) for name in ("C3", "C4")]
         + [strongest * (Q - 1), strongest * max(2 * Q - 3, 0), eigmins.min(axis=1)])

@@ -177,6 +177,29 @@ class TestValidation:
             NormalizedGame(gain2=np.ones((2, 2, 2)), pmax=np.full((2, 2), UNBOUNDED),
                            Gamma=np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_path_loss_and_gap_named(self, bad):
+        # An infinite Gamma passed "Gamma >= 1" and failed later as an
+        # eigen-solve; a NaN gamma was reported as non-finite gains.
+        taps = np.ones((2, 2, 1), dtype=np.complex128)
+        args = (np.ones((2, 2)), np.ones(2), np.ones(2))
+        with pytest.raises(InvalidInputError, match=r"^Gamma must be \(Q,\) with finite entries"):
+            simple_channel_set(taps, *args, N=2, Gamma=np.array([bad, 1.0]))
+        with pytest.raises(InvalidInputError, match="^gamma must be finite"):
+            simple_channel_set(taps, *args, N=2, gamma=bad)
+
+    def test_ratio_scenario_rejects_more_taps_than_bins_before_drawing(self, monkeypatch):
+        # The Q*Q*2*(L+1) normals were drawn before ChannelSet rejected L+1 > N.
+        import specnash.channel as channel
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("taps drawn before the order was checked")
+
+        monkeypatch.setattr(channel, "keyed_normals", no_draw)
+        for order in (4, 10**6):
+            with pytest.raises(InvalidInputError, match="^channel_order must be >= 0 and < N = 4"):
+                ratio_scenario(2, 4, channel_order=order)
+
     def test_ratio_scenario_distance_matrix(self):
         d = np.array([[1.0, 5.0], [2.0, 1.0]])
         ch = ratio_scenario(2, 4, d=d, seed=0, channel_order=2)

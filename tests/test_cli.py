@@ -1,8 +1,16 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import os
+import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from specnash import NumericFailureError
 from specnash.channel import build_game
@@ -573,6 +581,14 @@ class TestConfigValidation:
         assert [f.name for f in tmp_path.iterdir()] == ["cfg.json"]
         assert capsys.readouterr().err.startswith("error: config key 'out' must be a JSON string")
 
+    def test_null_out_writes_the_default_file(self, tmp_path, monkeypatch):
+        # A key with no default value reads null as absent, so "out": null
+        # falls back to the subcommand's default file.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(PSD_CFG | {"out": None}))
+        assert main(["solve", "--config", "cfg.json"]) == 0
+        assert (tmp_path / "psd.csv").exists()
+
     @pytest.mark.parametrize("command,cfg,named", [
         ("rate-region", SMALL_CFGS["rate-region"] | {"resolutoin": 4}, "resolutoin"),
         ("rate-region", SMALL_CFGS["rate-region"] | {"seeds": 3}, "seeds"),
@@ -669,6 +685,68 @@ class TestConfigValidation:
         assert rc == 1
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: total_split sweep is defined for Q = 2")
+
+    @pytest.mark.parametrize("command,cfg,message", [
+        ("check-uniqueness", {"seed": 1, "scenario": PSD_CFG["scenario"] | {"Gamma": float("inf")}},
+         "Gamma must be "),
+        ("montecarlo", MC_CFG | {"scenario": MC_CFG["scenario"] | {"Gamma": float("inf")}},
+         "Gamma must be "),
+        ("check-uniqueness", {"seed": 1, "scenario": raw_scenario(None) | {"gamma": float("nan")}},
+         "gamma must be finite"),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"lambda_sweep": [[float("nan"), 1.0]]},
+         "weights must be "),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"mg_tol": float("nan")}, "tol must be "),
+        ("rate-region", SMALL_CFGS["rate-region"] | {"mg_tol": -1.0}, "tol must be "),
+    ])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, command, cfg, message):
+        # An infinite Gamma exited 3 on a failed eigen-solve and a NaN gamma
+        # named the gains; a NaN weight wrote a "nan:1.0" row and a NaN or
+        # negative mg_tol ran all 5000 steps, both with exit 0.
+        rc, out = self.run(tmp_path, command, cfg)
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_negative_seed_flag_names_seed(self, tmp_path, capsys, no_channel):
+        # Was numpy's "expected non-negative integer", from the tap draw.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(PSD_CFG))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: config key 'seed' must be ")
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_bytes(b'{"seed": 1, "kind": "\xff"}')
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("error", [KeyError, ValueError, TypeError])
+    def test_internal_errors_are_not_config_errors(self, tmp_path, monkeypatch, error):
+        # main reports the package's errors; a builtin one is a bug to show.
+        import specnash.cli as cli_mod
+
+        def broken(cfg, out):
+            raise error("internal")
+
+        monkeypatch.setattr(cli_mod, "run_psd", broken)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(PSD_CFG))
+        with pytest.raises(error):
+            main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")])
+
+    def test_c7_eigen_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # numpy's LinAlgError is a ValueError: it used to exit 1 as a config error.
+        import specnash.uniqueness as uniqueness
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(uniqueness.np.linalg, "eigvalsh", failing)
+        rc, out = self.run(tmp_path, "check-uniqueness", SMALL_CFGS["check-uniqueness"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("numeric failure: eigen-solve failed")
 
 
 class TestCliContract:
@@ -899,3 +977,82 @@ class TestCliContract:
         main(["solve", "--config", str(cfg_path), "--out", out1, "--seed", "99"])
         main(["solve", "--config", str(cfg_path), "--out", out2])
         assert open(out1, "rb").read() != open(out2, "rb").read()
+
+
+FUZZ_RAW = {"kind": "psd", "out": "unused.csv", "seed": 1,
+            "scenario": raw_scenario([[10.0] * 16, [None] * 16])}
+FUZZ_CFGS = [*SMALL_CFGS.items(), ("rate-region", REGION_CFGS["asymmetric"]),
+             ("rate-region", REGION_CFGS["channel_order"]), ("solve", FUZZ_RAW),
+             ("check-uniqueness", FUZZ_RAW)]
+DELETE = object()
+# Wrong JSON types, edge and non-finite numbers, empty and null-holding arrays.
+FUZZ_VALUES = [None, float("nan"), float("inf"), float("-inf"), -1, 0, -0.5, "x", [], {}, [None],
+               True, [[1.0]], 2.5, 1e300, DELETE]
+# The rejections of the config tables, and the keys they name.
+TABLE_REJECTION = re.compile(r"error: (?:config key '(?P<key>[^']+)'|unknown (?P<enum>\w+) '"
+                             r"|unknown [\w ]+ keys: (?P<keys>.*))")
+
+
+def key_paths(obj, path=()):
+    """Paths to every key of ``obj``, and to the first entry of every array."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield path + (key,)
+            yield from key_paths(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        yield path + (0,)
+        yield from key_paths(obj[0], path + (0,))
+
+
+def changed(cfg, changes):
+    """A copy of ``cfg`` with each (path, value) set, or deleted for DELETE; a path that
+    an earlier change removed is skipped."""
+    cfg = copy.deepcopy(cfg)
+    for (*parents, last), value in changes:
+        node = cfg
+        try:
+            for part in parents:
+                node = node[part]
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return cfg
+
+
+def fuzz_cases():
+    """(command, config, changes): one or two (path, value) changes of a FUZZ_CFGS config."""
+    def with_changes(case):
+        change = st.tuples(st.sampled_from(list(key_paths(case[1]))), st.sampled_from(FUZZ_VALUES))
+        return st.tuples(*map(st.just, case), st.lists(change, min_size=1, max_size=2))
+
+    return st.sampled_from(FUZZ_CFGS).flatmap(with_changes)
+
+
+class TestConfigFuzz:
+    # The examples each raised a TypeError out of main before the config tables.
+    @example(("solve", FUZZ_RAW, [(("scenario", "taps", 0, 0, 0, 0), {})]))
+    @example(("check-uniqueness", FUZZ_RAW, [(("scenario", "pmax_bar", 0), 2.5)]))
+    @example(("rate-region", SMALL_CFGS["rate-region"], [(("lambda_sweep", 0, 0), None)]))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(fuzz_cases())
+    def test_changed_config_exits_with_a_code(self, case):
+        # Every run exits 0, 1 or 3 (no exception escapes main), and a
+        # rejection by a config table names the key it rejects.
+        command, cfg, changes = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # as the CLI runs
+            cfg_path = os.path.join(tmp, "cfg.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(changed(cfg, changes), fh)
+            rc = main([command, "--config", cfg_path, "--out", os.path.join(tmp, "x.out")])
+        assert rc in (0, 1, 3)
+        rejection = TABLE_REJECTION.match(err.getvalue())
+        # A deleted key or an emptied block may be named as a missing or unknown key.
+        if rejection and not any(v is DELETE or v == {} for _, v in changes):
+            named = {rejection["key"], rejection["enum"], *(rejection["keys"] or "").split(", ")}
+            assert named & {part for path, _ in changes for part in path}, err.getvalue()

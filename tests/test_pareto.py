@@ -254,6 +254,17 @@ class TestScalarized:
         with pytest.raises(InvalidInputError):
             solve_scalarized(game, [1.0, -1.0])
 
+    @pytest.mark.parametrize("solver", [solve_scalarized, solve_modified_game])
+    @pytest.mark.parametrize("weights,tol", [
+        ([np.nan, 1.0], 1e-8), ([np.inf, 1.0], 1e-8), ([1.0, 1.0], np.nan),
+        ([1.0, 1.0], -1.0), ([1.0, 1.0], 0.0),
+    ])
+    def test_rejects_non_finite_weights_and_bad_tol(self, solver, weights, tol):
+        # A NaN weight passed the old "(w <= 0).any()" test, and no tol was
+        # checked: a NaN or negative tol ran every one of max_iter steps.
+        with pytest.raises(InvalidInputError, match="weights" if tol == 1e-8 else "tol"):
+            solver(flat_game(), weights, tol=tol)
+
 
 class TestModifiedGame:
     def test_dominant_weight_protects_user(self):
