@@ -219,7 +219,9 @@ def _scaled_game(ch: ChannelSet, fading2: np.ndarray) -> NormalizedGame:
 
 
 def ratio_distances(Q: int, d_ratio: float) -> np.ndarray:
-    """Distance matrix with unit direct links and every cross link at ``d_ratio``."""
+    """Distance matrix with unit direct links and every cross link at ``d_ratio`` (> 0)."""
+    if not d_ratio > 0:  # NaN fails too
+        raise InvalidInputError(f"d_ratio must be > 0, got {d_ratio!r}")
     d = np.full((Q, Q), float(d_ratio))
     np.fill_diagonal(d, 1.0)
     return d
@@ -251,8 +253,8 @@ def ratio_scenario(
     ``tap_variance``), or an exponential profile ``exp(-l/tap_decay)``
     (normalized) for mildly selective channels.  Streams are keyed by
     ``(seed, r, q)``.  A ``channel_order`` below 0 or with more taps than
-    bins, and an ``snr_db`` whose power is not finite, are rejected by name
-    before any tap is drawn.
+    bins, an ``snr_db`` whose power is not finite and positive, and a
+    ``d_ratio`` <= 0 with no ``d`` are rejected by name before any tap is drawn.
     """
     if not 0 <= channel_order < N:
         raise InvalidInputError(f"channel_order must be >= 0 and < N = {N}, got {channel_order!r}")
@@ -260,8 +262,8 @@ def ratio_scenario(
         snr = 10.0 ** (snr_db / 10.0)
     except OverflowError:
         snr = math.inf
-    if not math.isfinite(snr):
-        raise InvalidInputError(f"snr_db must give a finite power, got {snr_db!r}")
+    if not 0 < snr < math.inf:
+        raise InvalidInputError(f"snr_db must give a finite positive power, got {snr_db!r}")
     d = ratio_distances(Q, d_ratio) if d is None else np.asarray(d, dtype=np.float64)
     if tap_decay is not None:
         profile = np.exp(-np.arange(channel_order + 1) / float(tap_decay))

@@ -47,7 +47,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_uniqueness(args) -> int:
-    run_check_uniqueness(*_load_config(args, "uniqueness.json"))
+    report = run_check_uniqueness(*_load_config(args, "uniqueness.json"))
+    errors = [f"{name}: {v['error']}" for name, v in report["conditions"].items() if v["error"]]
+    if errors:  # the report is written, error verdicts included
+        print(f"numeric failure: {'; '.join(errors)}", file=sys.stderr)
+        return 3
     return 0
 
 

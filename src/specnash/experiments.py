@@ -14,7 +14,6 @@ CSV schemas (version 1):
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
@@ -195,11 +194,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
+def _write_csv(path: str, header: list, lines) -> None:
+    """Write the header fields and ``lines``, rows joined by commas (no field needs quotes)."""
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -291,9 +289,9 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     (:func:`verdict_codes`).  A probability counts the verdicts that hold;
     the result also counts, per (ratio, mode, condition), the boundary and
     error verdicts that it leaves out (``"boundary"``, ``"errors"``).
-    Rejects a config that does not fit ``_SCHEMAS["uniqueness_mc"]`` and
-    a raw (taps) scenario, which cannot be redrawn per trial, before any
-    channel is built.  ``workers`` is capped at the CPU count.
+    Rejects a config that does not fit ``_SCHEMAS["uniqueness_mc"]``, a raw
+    (taps) scenario, which cannot be redrawn per trial, and a sweep entry <= 0
+    before any channel is built.  ``workers`` is capped at the CPU count.
     """
     conf = _config(cfg, "uniqueness_mc")
     scen, trials, modes = conf["scenario"], conf["trials"], conf["Dq_modes"]
@@ -302,7 +300,10 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    ratios = conf["d_ratio_sweep"] or [scen["d_ratio"]]
+    sweep = conf["d_ratio_sweep"]
+    if sweep and not all(r > 0 for r in sweep):
+        raise InvalidInputError(f"d_ratio_sweep entries must be > 0, got {sweep!r}")
+    ratios = sweep or [scen["d_ratio"]]
 
     jobs = [(scen, conf["seed"], t, ratios, modes) for t in range(trials)]
     if workers > 1:
@@ -323,7 +324,7 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
                 probs[(ratio, mode, name)] = p
                 boundary[(ratio, mode, name)] = int(counts["boundary"][i, j, c])
                 errors[(ratio, mode, name)] = int(counts["error"][i, j, c])
-                rows.append([_fmt(ratio), name, mode, _fmt(p), trials])
+                rows.append(f"{_fmt(ratio)},{name},{mode},{_fmt(p)},{trials}")
     _write_csv(out_path, ["d_ratio", "condition", "Dq_mode", "prob", "trials"], rows)
     _write_meta(
         out_path,
@@ -366,10 +367,9 @@ def run_psd(cfg: dict, out_path: str) -> dict:
     conf = _config(cfg, "psd")
     game = build_game(scenario_from_config(conf["scenario"], seed=(conf["seed"],)))
     res = solve(game, **conf["solver"])
-    rows = [f"{q},{k},{v!r}\n" for q, powers in enumerate(res.profile.p.tolist(), 1)
-            for k, v in enumerate(powers, 1)]
-    with open(out_path, "w", newline="\n") as fh:  # csv.writer's lines, none needing quotes
-        fh.write("user,carrier,power\n" + "".join(rows))
+    _write_csv(out_path, ["user", "carrier", "power"],
+               [f"{q},{k},{v!r}" for q, powers in enumerate(res.profile.p.tolist(), 1)
+                for k, v in enumerate(powers, 1)])
 
     meta = {
         "kind": "psd",
@@ -416,9 +416,9 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
     mode="asymmetric": seeds x one asymmetric geometry; emits equilibrium
     and best weighted-sum rates per seed (sum-rate loss in the sidecar).
     mode="channel_order": average equilibrium rates per channel order.
-    Rejects a config that does not fit the ``_SCHEMAS`` table of its mode
-    and, in the two modes that redraw the taps, a raw (taps) scenario
-    before any channel is built.
+    Rejects a config that does not fit the ``_SCHEMAS`` table of its mode, a
+    raw (taps) scenario in the two modes that redraw the taps, and asymmetric
+    distance keys <= 0 before any channel is built.
     """
     mode = cfg.get("mode", "symmetric")
     conf = _config(cfg, f"rate_region {mode if mode in _REGION_MODES else 'symmetric'}")
@@ -455,6 +455,9 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         ratio, geo = conf["d12_over_d21"], conf["d_cross_geomean"]
         if scen["Q"] != 2:
             raise InvalidInputError("asymmetric mode is two-user")
+        for key in ("d12_over_d21", "d_cross_geomean"):
+            if not conf[key] > 0:
+                raise InvalidInputError(f"{key} must be > 0, got {conf[key]!r}")
         d = np.ones((2, 2))
         d[0, 1] = geo * np.sqrt(ratio)
         d[1, 0] = geo / np.sqrt(ratio)
@@ -488,7 +491,7 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         meta["order_means"] = {str(L): v.tolist() for L, v in means.items()}
 
     header = ["provenance", "label"] + [f"r{q + 1}" for q in range(Q_out)]
-    _write_csv(out_path, header, rows)
+    _write_csv(out_path, header, map(",".join, rows))
     _write_meta(out_path, meta)
     return meta
 

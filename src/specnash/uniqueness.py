@@ -230,9 +230,12 @@ def spectral_radius(M: np.ndarray) -> np.ndarray | float:
         hi = ((M @ z[..., None])[..., 0] / z).max(axis=-1)
     rho = np.array(np.clip(root, lo, hi))
     undecided = ~((hi < 1.0 - _BOUNDARY) | (lo > 1.0 + _BOUNDARY))
-    for k in map(tuple, np.argwhere(undecided)):
-        balanced, _ = matrix_balance(M[k])
-        rho[k] = np.abs(np.linalg.eigvals(balanced)).max()
+    try:
+        for k in map(tuple, np.argwhere(undecided)):
+            balanced, _ = matrix_balance(M[k])
+            rho[k] = np.abs(np.linalg.eigvals(balanced)).max()
+    except np.linalg.LinAlgError as err:
+        raise NumericFailureError(f"eigen-solve failed: {err}") from err
     return rho if rho.ndim else float(rho)
 
 
@@ -297,7 +300,7 @@ def _radii(H: np.ndarray) -> list:
 
 
 def _stage(games, Dq_mode: str) -> tuple:
-    """What :func:`check_stack` and :func:`verdict_codes` share, for stacked games.
+    """What :func:`check_conditions` and :func:`verdict_codes` share, for stacked games.
 
     Returns the usable sets (G, Q, N), the coupling stack (G, N, Q, Q), C2's
     radius of each game (or the NumericFailureError of its eigen-solve),
@@ -333,40 +336,6 @@ def _stage(games, Dq_mode: str) -> tuple:
     return kept, Hk, _radii(Hmax), margins, (weights, sums, perron, strongest, eigmins)
 
 
-def check_stack(games, Dq_mode: str = "virtual_interferer") -> list:
-    """:func:`check_conditions` of every game in a sequence, certified as one stack.
-
-    The games must share (Q, N).  The usable sets of all users of all games
-    come from one screen (see :func:`usable_sets`), the coupling matrices
-    form one (G, N, Q, Q) stack, C1 and C2 take one eigen-solve each and
-    C3-C7 are evaluated for all games at once.  Every margin is exact: C1
-    reports each bin's radius.  Report g equals ``check_conditions(games[g])``.
-    """
-    kept, Hk, rho_max, margins, (weights, sums, perron, strongest, eigmins) = _stage(
-        games, Dq_mode)
-    Q = Hk.shape[-1]
-    reports = []
-    for g, rho_k in enumerate(_radii(Hk)):
-        failed = isinstance(rho_k, NumericFailureError)
-        verdicts = [
-            _verdict("C1", rho_k if failed else rho_k.max(), {} if failed else {
-                "rho_per_bin": rho_k, "argmax_bin": int(rho_k.argmax())}),
-            _verdict("C2", rho_max[g], {}),
-        ]
-        for c, name in enumerate(("C3", "C4")):
-            best = "perron" if perron[name][g] else "unit"
-            verdicts.append(_verdict(name, margins[g, c], {
-                "weights": weights[best][g], "weighting": best,
-                "unit_margin": float(sums[name, "unit"][g])}))
-        for c, name, n in ((2, "C5", Q - 1), (3, "C6", max(2 * Q - 3, 0))):
-            verdicts.append(_verdict(name, margins[g, c], {
-                "strongest_pair": float(strongest[g]), "threshold_raw": 1.0 / max(n, 1)}))
-        verdicts.append(_verdict("C7", margins[g, 4], {"argmin_bin": int(eigmins[g].argmin())},
-                                 above_zero=True))
-        reports.append(UniquenessReport({v.name: v for v in verdicts}, Dq_mode, kept[g]))
-    return reports
-
-
 def _c1_margins(Hk: np.ndarray) -> np.ndarray:
     """C1 margins of a coupling stack (G, N, Q, Q), shape (G,), decided by bounds first.
 
@@ -391,13 +360,14 @@ def _c1_margins(Hk: np.ndarray) -> np.ndarray:
 
 
 def verdict_codes(games, Dq_mode: str = "virtual_interferer") -> np.ndarray:
-    """The verdicts of :func:`check_stack` as codes, shape (G, 7) int8.
+    """:func:`check_conditions` verdicts of games sharing (Q, N), as codes (G, 7) int8.
 
     Column c is condition ``CONDITION_NAMES[c]``; a code indexes
-    :data:`VERDICT_KINDS` (0 false, 1 true, 2 boundary, 3 error).  C2-C7
-    come from the same arrays as in :func:`check_stack`; C1 is decided by
-    rigorous bounds where they suffice, and its eigen-solve runs only on the
-    games they leave open, so a failing solve turns only those into errors.
+    :data:`VERDICT_KINDS` (0 false, 1 true, 2 boundary, 3 error).  The games
+    are certified as one stack: C2-C7 come from the arrays that
+    :func:`check_conditions` reads, C1 is decided by rigorous bounds where
+    they suffice, and its eigen-solve runs only on the games they leave open,
+    so a failing solve turns only those into errors.
     """
     _, Hk, rho_max, margins, _ = _stage(games, Dq_mode)
     c2 = [np.nan if isinstance(rho, NumericFailureError) else rho for rho in rho_max]
@@ -417,5 +387,22 @@ def check_conditions(
         resp. 1/(2Q-3) (no bin pruning, per their original statements).
     C7: I + H(k) positive definite for every bin, tested through the
         symmetric part, with no bin pruning.
+    Every margin is exact: C1 reports each bin's radius.
     """
-    return check_stack([game], Dq_mode)[0]
+    kept, Hk, (rho_max,), margins, (weights, sums, perron, strongest, eigmins) = _stage(
+        [game], Dq_mode)
+    (rho_k,) = _radii(Hk)
+    failed = isinstance(rho_k, NumericFailureError)
+    verdicts = [_verdict("C1", rho_k if failed else rho_k.max(), {} if failed else {
+        "rho_per_bin": rho_k, "argmax_bin": int(rho_k.argmax())}), _verdict("C2", rho_max, {})]
+    for c, name in enumerate(("C3", "C4")):
+        best = "perron" if perron[name][0] else "unit"
+        verdicts.append(_verdict(name, margins[0, c], {
+            "weights": weights[best][0], "weighting": best,
+            "unit_margin": float(sums[name, "unit"][0])}))
+    for c, name, n in ((2, "C5", game.Q - 1), (3, "C6", 2 * game.Q - 3)):
+        verdicts.append(_verdict(name, margins[0, c], {
+            "strongest_pair": float(strongest[0]), "threshold_raw": 1.0 / max(n, 1)}))
+    verdicts.append(_verdict("C7", margins[0, 4], {"argmin_bin": int(eigmins[0].argmin())},
+                             above_zero=True))
+    return UniquenessReport({v.name: v for v in verdicts}, Dq_mode, kept[0])

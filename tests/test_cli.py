@@ -748,6 +748,47 @@ class TestConfigValidation:
         assert rc == 3
         assert capsys.readouterr().err.startswith("numeric failure: eigen-solve failed")
 
+    def test_balanced_eigen_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # One-tap links at cross distance 2 with gamma 1: every bin couples
+        # each pair of the three users by 0.5, a radius of exactly 1, which
+        # only the balanced re-solve can place.  Its LinAlgError used to
+        # escape main as a traceback; now C1 and C2 are error verdicts, the
+        # report is written, and the run exits 3.
+        import specnash.uniqueness as uniqueness
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        scen = {"taps": [[[[1.0, 0.0]]] * 3] * 3, "gamma": 1.0, "P": [1.0] * 3,
+                "d": [[1.0 if r == q else 2.0 for q in range(3)] for r in range(3)],
+                "sigma2": [1.0] * 3, "Gamma": [1.0] * 3, "N": 4}
+        monkeypatch.setattr(uniqueness.np.linalg, "eigvals", failing)
+        rc, out = self.run(tmp_path, "check-uniqueness", {"scenario": scen})
+        assert rc == 3
+        report = json.loads(out.read_text())
+        assert [name for name, v in report["conditions"].items() if v["error"]] == ["C1", "C2"]
+        assert capsys.readouterr().err == (
+            "numeric failure: C1: eigen-solve failed: Eigenvalues did not converge; "
+            "C2: eigen-solve failed: Eigenvalues did not converge\n")
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("solve", PSD_CFG | {"scenario": PSD_CFG["scenario"] | {"d_ratio": 0.0}}, "d_ratio"),
+        ("solve", PSD_CFG | {"scenario": PSD_CFG["scenario"] | {"d_ratio": float("nan")}},
+         "d_ratio"),
+        ("montecarlo", MC_CFG | {"d_ratio_sweep": [2.0, -1.0]}, "d_ratio_sweep"),
+        ("rate-region", REGION_CFGS["asymmetric"] | {"d12_over_d21": 0.0}, "d12_over_d21"),
+        ("rate-region", REGION_CFGS["asymmetric"] | {"d_cross_geomean": -2.0}, "d_cross_geomean"),
+        ("check-uniqueness", {"scenario": PSD_CFG["scenario"] | {"snr_db": -1e300}}, "snr_db"),
+    ])
+    def test_out_of_range_key_is_named(self, tmp_path, capsys, command, cfg, key):
+        # Each exited 1 naming the quantity derived from the key ("d must be
+        # (Q, Q) with positive entries", "P must be (Q,) ..."), and the
+        # asymmetric keys warned of an invalid sqrt first.
+        rc, out = self.run(tmp_path, command, cfg)
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+
 
 class TestCliContract:
     def test_solve_roundtrip_and_determinism(self, tmp_path):

@@ -1,9 +1,11 @@
-"""Byte-for-byte goldens of the psd driver.
+"""Byte-for-byte goldens of the CSV drivers.
 
 The sha256 of the CSV and of the ``.meta.json`` sidecar of eight inline
-``psd`` configs, capped and uncapped under both schedules.  A change to
-the solver, the CSV writer or the JSON writer that moves a single byte of
-either file fails here, whatever the tolerance-based tests say.
+``psd`` configs, capped and uncapped under both schedules, of one small
+``uniqueness_mc`` config and of one small symmetric ``rate_region``
+config.  A change to the solver, the certificates, the CSV writer or the
+JSON writer that moves a single byte of either file fails here, whatever
+the tolerance-based tests say.
 """
 
 import copy
@@ -11,7 +13,7 @@ import hashlib
 
 import pytest
 
-from specnash.experiments import run_psd
+from specnash.experiments import run_psd, run_rate_region, run_uniqueness_mc
 
 T2 = [[[[0.514, 0.821], [0.573, -0.487]], [[-0.696, 0.034], [0.431, 0.255]]],
       [[[0.905, 0.375], [0.32, -0.366]], [[-0.554, 0.742], [0.024, 0.406]]]]
@@ -110,3 +112,30 @@ def test_psd_bytes(name, tmp_path):
     out = str(tmp_path / "psd.csv")
     run_psd(copy.deepcopy(CONFIGS[name]), out)
     assert (sha256(out), sha256(out + ".meta.json")) == GOLDEN[name]
+
+
+MC = {"seed": 4, "trials": 6, "d_ratio_sweep": [0.5, 1.0, 2.0, 4.0],
+      "scenario": {"Q": 3, "N": 16, "gamma": 2.5, "snr_db": -5.0, "Gamma": 1.0,
+                   "channel_order": 4}}
+REGION = {"seed": 8, "mode": "symmetric", "resolution": 7, "splits": 3,
+          "lambda_sweep": [[1.0, 1.0], [1.0, 3.0]],
+          "scenario": {"Q": 2, "N": 2, "gamma": 2.5, "snr_db": 8.0, "Gamma": 1.0,
+                       "channel_order": 1, "d_ratio": 3.0}}
+
+# sha256 of (CSV, .meta.json), recorded while both drivers wrote through csv.writer.
+DRIVER_GOLDEN = {
+    "uniqueness_mc": (run_uniqueness_mc, MC, (
+        "8b474734172c2adc4824e65ab552c0316d15d38c722be82fe82f4c302c4b8069",
+        "8a5fe981a8d6bac497e22627167d002ee54972f4bf816b7b9a859515d281d97b")),
+    "rate_region_symmetric": (run_rate_region, REGION, (
+        "8be5dfa11e2ccf9967f4edfbc3b4a6c0e5f3d4a2b0ccf7f87d96f2204a1d0593",
+        "d3b18b094f8e2860d8650ebb1b732b9104c29fb5cf8c5d1b7cb3bc29b9c2c3ce")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVER_GOLDEN))
+def test_driver_bytes(name, tmp_path):
+    run, cfg, golden = DRIVER_GOLDEN[name]
+    out = str(tmp_path / "out.csv")
+    run(copy.deepcopy(cfg), out)
+    assert (sha256(out), sha256(out + ".meta.json")) == golden

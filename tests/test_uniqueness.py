@@ -14,7 +14,6 @@ from specnash.uniqueness import (
     DQ_MODES,
     VERDICT_KINDS,
     check_conditions,
-    check_stack,
     coupling_stack,
     perron_weights,
     spectral_radius,
@@ -467,7 +466,7 @@ def edge_stacks(draw):
 
 
 class TestStackAgainstOracle:
-    """The stacked certification is bit-equal to the per-game oracle."""
+    """The stacked verdict codes and each game's report agree with the per-game oracle."""
 
     def test_fig1_games(self):
         # 120 Fig. 1 trials x 4 distance ratios, built the way the Monte Carlo
@@ -480,47 +479,31 @@ class TestStackAgainstOracle:
             games = distance_sweep(ch, [ratio_distances(5, r) for r in ratios])
             modes = DQ_MODES if trial < 20 else ("virtual_interferer",)
             for mode in modes:
-                for r, report in zip(ratios, check_stack(games, mode)):
+                codes = verdict_codes(games, mode).tolist()
+                for r, game, game_codes in zip(ratios, games, codes):
                     alone = build_game(ratio_scenario(5, 64, seed=(0, trial), d_ratio=r, **scen))
-                    assert report_text(report) == oracle_text(alone, mode), (trial, r, mode)
+                    oracle = oracle_check_conditions(alone, mode)
+                    assert game_codes == report_codes(oracle), (trial, r, mode)
+                    assert report_text(check_conditions(game, mode)) == report_text(oracle), (
+                        trial, r, mode)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(stack=edge_stacks(), mode=st.sampled_from(DQ_MODES))
     def test_edge_games(self, stack, mode):
-        expected = [oracle_text(game, mode) for game in stack]
-        failed = [text for text in expected if not text.startswith("{")]
-        if failed:
-            # One game whose bins cannot be certified fails the whole stack.
-            with pytest.raises((InvalidInputError, NumericFailureError)) as err:
-                check_stack(stack, mode)
-            assert type(err.value).__name__ in failed
-            return
-        assert [report_text(r) for r in check_stack(stack, mode)] == expected
-        assert [report_text(check_conditions(game, mode)) for game in stack] == expected
-
-    def test_eigen_failure_stays_with_its_game(self, monkeypatch):
-        games = [flat_game(Q=3, coupling=0.25, N=4), flat_game(Q=3, coupling=0.75, N=4)]
-        expected = [check_conditions(game).to_dict() for game in games]
-        solve = uniqueness.spectral_radius
-
-        def failing(M):
-            if (np.asarray(M) == 0.75).any():
-                raise NumericFailureError("eigen-solve failed")
-            return solve(M)
-
-        monkeypatch.setattr(uniqueness, "spectral_radius", failing)
-        good, bad = check_stack(games)
-        assert good.to_dict() == expected[0]
-        for name in ("C1", "C2"):
-            assert bad[name].satisfied is None and bad[name].error == "eigen-solve failed"
-        for name in CONDITION_NAMES[2:]:
-            assert bad[name].to_dict() == expected[1]["conditions"][name]
+        for game in stack:
+            expected = oracle_text(game, mode)
+            if expected.startswith("{"):
+                assert report_text(check_conditions(game, mode)) == expected
+            else:  # bins that cannot be certified
+                with pytest.raises((InvalidInputError, NumericFailureError)) as err:
+                    check_conditions(game, mode)
+                assert type(err.value).__name__ == expected
 
     def test_rejects_empty_and_mixed_stacks(self):
         with pytest.raises(InvalidInputError):
-            check_stack([])
+            verdict_codes([])
         with pytest.raises(InvalidInputError):
-            check_stack([flat_game(Q=2, N=2), flat_game(Q=2, N=3)])
+            verdict_codes([flat_game(Q=2, N=2), flat_game(Q=2, N=3)])
 
 
 @st.composite
@@ -585,7 +568,7 @@ class TestUsableScreen:
 
 
 def report_codes(report) -> list:
-    """check_stack's verdicts as verdict codes."""
+    """A report's verdicts as verdict codes."""
     kinds = {True: "true", False: "false", None: "boundary"}
     return [VERDICT_KINDS.index("error" if report[name].error else kinds[report[name].satisfied])
             for name in CONDITION_NAMES]
@@ -636,11 +619,15 @@ class TestVerdictCodes:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(stack=code_stacks(), mode=st.sampled_from(DQ_MODES))
-    def test_equal_check_stack_verdicts(self, stack, mode):
-        try:
-            expected = [report_codes(report) for report in check_stack(stack, mode)]
-        except Exception as err:  # a subnormal direct gain can fail C5-C7's arrays
-            with pytest.raises(type(err)):  # and a game that cannot be certified fails the stack
+    def test_equal_check_conditions_verdicts(self, stack, mode):
+        expected, raised = [], set()
+        for game in stack:
+            try:
+                expected.append(report_codes(check_conditions(game, mode)))
+            except Exception as err:  # a subnormal direct gain can fail C5-C7's arrays
+                raised.add(type(err))
+        if raised:  # and a game that cannot be certified fails the stack
+            with pytest.raises(tuple(raised)):
                 verdict_codes(stack, mode)
             return
         codes = verdict_codes(stack, mode)
@@ -662,7 +649,7 @@ class TestVerdictCodes:
             ch = ratio_scenario(5, 64, seed=(3, trial), d_ratio=1.0, **scen)
             games = distance_sweep(ch, [ratio_distances(5, r) for r in (1.0, 2.0, 4.0, 8.0)])
             for mode in DQ_MODES:
-                expected = [report_codes(report) for report in check_stack(games, mode)]
+                expected = [report_codes(check_conditions(game, mode)) for game in games]
                 with monkeypatch.context() as mp:
                     mp.setattr(uniqueness, "_radii", counted)
                     assert verdict_codes(games, mode).tolist() == expected
@@ -702,3 +689,25 @@ class TestVerdictCodes:
         np.testing.assert_array_equal(codes[0], expected[0])
         assert codes[1, :2].tolist() == [3, 3]
         np.testing.assert_array_equal(codes[1, 2:], expected[1, 2:])
+
+    def test_balanced_resolve_failure_is_an_error_verdict(self, monkeypatch):
+        # Flat Q = 3 coupling 0.5 has radius 1.0 on every bin, so the bracket
+        # cannot decide it and the balanced matrix is solved again; that
+        # solve's LinAlgError used to escape both functions raw.
+        edge, good = flat_game(Q=3, coupling=0.5, N=4), flat_game(Q=3, coupling=0.25, N=4)
+        expected, expected_codes = check_conditions(edge).to_dict(), verdict_codes([edge, good])
+
+        def failing(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(uniqueness.np.linalg, "eigvals", failing)
+        report = check_conditions(edge)
+        for name in ("C1", "C2"):
+            assert report[name].satisfied is None
+            assert report[name].error == "eigen-solve failed: Eigenvalues did not converge"
+        for name in CONDITION_NAMES[2:]:
+            assert report[name].to_dict() == expected["conditions"][name]
+        codes = verdict_codes([edge, good])
+        assert codes[0, :2].tolist() == [3, 3]
+        np.testing.assert_array_equal(codes[0, 2:], expected_codes[0, 2:])
+        np.testing.assert_array_equal(codes[1], expected_codes[1])
