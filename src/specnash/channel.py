@@ -94,6 +94,11 @@ class ChannelSet:
             raise InvalidInputError("sigma2 must be (Q,) with positive entries")
         if not math.isfinite(self.gamma):
             raise InvalidInputError(f"gamma must be finite, got {self.gamma!r}")
+        with np.errstate(over="ignore"):  # an infinite path loss is a zero gain
+            vanished = self.d[self.d**self.gamma == 0]
+        if vanished.size:
+            raise InvalidInputError(f"gamma and d must give d**gamma > 0, got gamma={self.gamma!r} "
+                                    f"with d entry {float(vanished[0])!r}")
         # Written so that NaN fails each test; an infinite cap is UNBOUNDED.
         if self.pmax_bar.shape != (Q, self.N) or not (self.pmax_bar >= 0).all():
             raise InvalidInputError("pmax_bar must be (Q, N) and nonnegative")
@@ -197,25 +202,14 @@ def build_game(ch: ChannelSet) -> NormalizedGame:
     Pure function: ``gain2[r, q, k] = |resp_rq(k)|^2 * P_r / (sigma2_q *
     d_rq**gamma)`` and ``pmax[q] = pmax_bar[q] / P_q``.
     """
-    return _scaled_game(ch, np.abs(frequency_response(ch.taps, ch.N)) ** 2)
-
-
-def distance_sweep(ch: ChannelSet, distances) -> list:
-    """``build_game`` of ``ch`` at each (Q, Q) distance matrix, in order.
-
-    The taps' frequency response is computed once and every game rescales
-    the same fading powers, so game i equals ``build_game`` of ``ch`` with
-    ``d = distances[i]``.
-    """
     fading2 = np.abs(frequency_response(ch.taps, ch.N)) ** 2
-    return [_scaled_game(replace(ch, d=d), fading2) for d in distances]
+    return NormalizedGame(gain2=fading2 * _gain_scale(ch)[:, :, None],
+                          pmax=ch.pmax_bar / ch.P[:, None], Gamma=ch.Gamma.copy())
 
 
-def _scaled_game(ch: ChannelSet, fading2: np.ndarray) -> NormalizedGame:
-    scale = ch.P[:, None] / (ch.sigma2[None, :] * ch.d**ch.gamma)
-    return NormalizedGame(
-        gain2=fading2 * scale[:, :, None], pmax=ch.pmax_bar / ch.P[:, None], Gamma=ch.Gamma.copy()
-    )
+def _gain_scale(ch: ChannelSet) -> np.ndarray:
+    """``P_r / (sigma2_q * d_rq**gamma)``, shape (Q, Q): what turns fading powers into gains."""
+    return ch.P[:, None] / (ch.sigma2[None, :] * ch.d**ch.gamma)
 
 
 def ratio_distances(Q: int, d_ratio: float) -> np.ndarray:
@@ -256,6 +250,37 @@ def ratio_scenario(
     bins, an ``snr_db`` whose power is not finite and positive, and a
     ``d_ratio`` <= 0 with no ``d`` are rejected by name before any tap is drawn.
     """
+    key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    ch, _ = _ratio_draw([key], Q, N, gamma, d_ratio, snr_db, Gamma, channel_order, d,
+                        tap_variance, tap_decay, pmax_bar)
+    return ch
+
+
+def ratio_sweeps(keys, distances, **scenario) -> list:
+    """Games of ``ratio_scenario(seed=key, **scenario)`` at each distance matrix, for each key.
+
+    ``scenario`` gives every keyword of :func:`ratio_scenario` but ``seed``
+    and ``pmax_bar``.  Game ``t * len(distances) + i`` equals
+    :func:`build_game` of key t's scenario with ``d = distances[i]``, bit
+    for bit, but the taps of all keys come from one draw and one FFT, and
+    each distance's gain scale is computed once.
+    """
+    ch, taps = _ratio_draw(keys, **scenario, pmax_bar=None)
+    fading2 = np.abs(frequency_response(taps, ch.N)) ** 2
+    scales = np.stack([_gain_scale(replace(ch, d=d)) for d in distances])
+    gain2 = fading2[:, None] * scales[:, :, :, None]
+    pmax = ch.pmax_bar / ch.P[:, None]
+    return [NormalizedGame(gain2=g, pmax=pmax, Gamma=ch.Gamma)
+            for g in gain2.reshape(-1, *gain2.shape[2:])]
+
+
+def _ratio_draw(keys, Q, N, gamma, d_ratio, snr_db, Gamma, channel_order, d, tap_variance,
+                tap_decay, pmax_bar) -> tuple:
+    """:func:`ratio_scenario` of the first seed key, and the taps of every key (K, Q, Q, L+1).
+
+    The one tap rule: key k's streams are keyed by ``keys[k] + (r, q)``, and
+    all of them are drawn in one call.
+    """
     if not 0 <= channel_order < N:
         raise InvalidInputError(f"channel_order must be >= 0 and < N = {N}, got {channel_order!r}")
     try:
@@ -272,15 +297,15 @@ def ratio_scenario(
         profile = np.full(channel_order + 1, float(tap_variance))
     else:
         profile = np.full(channel_order + 1, 1.0 / (channel_order + 1))
-    key = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    z = keyed_normals([key + (r, q) for r in range(Q) for q in range(Q)], (2, channel_order + 1))
-    z = z.reshape(Q, Q, 2, channel_order + 1)
-    taps = np.sqrt(profile / 2.0) * (z[:, :, 0] + 1j * z[:, :, 1])
+    z = keyed_normals([key + (r, q) for key in keys for r in range(Q) for q in range(Q)],
+                      (2, channel_order + 1))
+    z = z.reshape(len(keys), Q, Q, 2, channel_order + 1)
+    taps = np.sqrt(profile / 2.0) * (z[..., 0, :] + 1j * z[..., 1, :])
     P = np.full(Q, snr)
     if pmax_bar is None:
         pmax_bar = np.full((Q, N), UNBOUNDED)
     return ChannelSet(
-        taps=taps,
+        taps=taps[0],
         d=d,
         gamma=gamma,
         P=P,
@@ -288,4 +313,4 @@ def ratio_scenario(
         pmax_bar=pmax_bar,
         Gamma=np.full(Q, float(Gamma)),
         N=N,
-    )
+    ), taps

@@ -25,8 +25,8 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import __version__
-from .channel import (ChannelSet, UNBOUNDED, build_game, distance_sweep, ratio_distances,
-                      ratio_scenario)
+from .channel import (ChannelSet, UNBOUNDED, build_game, ratio_distances, ratio_scenario,
+                      ratio_sweeps)
 from .equilibrium import classify_profile, check_allocation_rule, solve
 from .errors import InvalidInputError
 # verify_diagonal_optimality stays importable here: bench/tracing.py wraps this site.
@@ -270,28 +270,38 @@ def _json_default(o):
 # ---------------------------------------------------------------------------
 # uniqueness Monte Carlo (condition satisfaction probability vs distance)
 
-def _uniqueness_trial(args):
-    scen, root_seed, trial, ratios, modes = args
-    ch = scenario_from_config(scen, seed=(root_seed, trial))
-    # An explicit distance matrix overrides d_ratio, as in ratio_scenario.
-    explicit = scen["d"] is not None
-    games = distance_sweep(ch, [ch.d if explicit else ratio_distances(ch.Q, r) for r in ratios])
-    return np.stack([verdict_codes(games, mode) for mode in modes], axis=1)
+# Trials certified per verdict_codes call.  Larger chunks spread the per-call
+# costs thinner but hold more games at once: the usable-bin screen builds a
+# (rows, N) price stack, so memory grows with the chunk.
+_CHUNK = 8
+
+
+def _chunk_codes(args) -> np.ndarray:
+    """Verdict codes of a range of trials, shape (trials, distances, modes, conditions)."""
+    scen, root_seed, trials, distances, modes = args
+    games = ratio_sweeps([(root_seed, t) for t in trials], distances, **scen)
+    codes = np.stack([verdict_codes(games, mode) for mode in modes], axis=1)
+    return codes.reshape(len(trials), len(distances), *codes.shape[1:])
 
 
 def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
     """Condition satisfaction probabilities over random channel draws.
 
     Sweeps the normalized interlink distance on matched fading: trial t
-    draws its taps once (streams keyed by (seed, t, link)) and takes their
-    FFT once, each distance rescales the same fading powers, and the
-    games of the whole sweep are certified as one stack per ``Dq_mode``
-    (:func:`verdict_codes`).  A probability counts the verdicts that hold;
-    the result also counts, per (ratio, mode, condition), the boundary and
-    error verdicts that it leaves out (``"boundary"``, ``"errors"``).
-    Rejects a config that does not fit ``_SCHEMAS["uniqueness_mc"]``, a raw
-    (taps) scenario, which cannot be redrawn per trial, and a sweep entry <= 0
-    before any channel is built.  ``workers`` is capped at the CPU count.
+    draws its taps once (streams keyed by (seed, t, link)) and each
+    distance rescales the same fading powers.  Trials are certified in
+    fixed chunks of eight: a chunk draws its taps in one call, takes one
+    FFT, and certifies the games of all its trials and distances as one
+    stack per ``Dq_mode`` (:func:`verdict_codes`, whose C1 and C7 take an
+    eigen-solve only where rigorous bounds leave the verdict open).  A
+    probability counts the verdicts that hold; the result also counts, per
+    (ratio, mode, condition), the boundary and error verdicts that it
+    leaves out (``"boundary"``, ``"errors"``).  Rejects a config that does
+    not fit ``_SCHEMAS["uniqueness_mc"]``, a raw (taps) scenario, which
+    cannot be redrawn per trial, and a sweep entry <= 0 before any channel
+    is built.  ``workers`` is capped at the CPU count and at the number of
+    chunks, and one worker runs the chunks in this process; the output
+    bytes do not depend on it.
     """
     conf = _config(cfg, "uniqueness_mc")
     scen, trials, modes = conf["scenario"], conf["trials"], conf["Dq_modes"]
@@ -299,18 +309,22 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
         raise InvalidInputError("uniqueness_mc redraws the taps per trial: use a ratio scenario")
     if workers < 1:
         raise InvalidInputError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
     sweep = conf["d_ratio_sweep"]
     if sweep and not all(r > 0 for r in sweep):
         raise InvalidInputError(f"d_ratio_sweep entries must be > 0, got {sweep!r}")
     ratios = sweep or [scen["d_ratio"]]
+    # An explicit distance matrix overrides d_ratio, as in ratio_scenario.
+    distances = [scen["d"] if scen["d"] is not None else ratio_distances(scen["Q"], r)
+                 for r in ratios]
 
-    jobs = [(scen, conf["seed"], t, ratios, modes) for t in range(trials)]
+    chunks = [(scen, conf["seed"], range(t, min(t + _CHUNK, trials)), distances, modes)
+              for t in range(0, trials, _CHUNK)]
+    workers = min(workers, os.cpu_count() or 1, len(chunks))
     if workers > 1:
         with Pool(workers) as pool:
-            codes = np.stack(pool.map(_uniqueness_trial, jobs))
+            codes = np.concatenate(pool.map(_chunk_codes, chunks))
     else:
-        codes = np.stack([_uniqueness_trial(j) for j in jobs])
+        codes = np.concatenate([_chunk_codes(chunk) for chunk in chunks])
     counts = {kind: (codes == c).sum(axis=0) for c, kind in enumerate(VERDICT_KINDS)}
 
     rows = []

@@ -304,9 +304,9 @@ def _stage(games, Dq_mode: str) -> tuple:
 
     Returns the usable sets (G, Q, N), the coupling stack (G, N, Q, Q), C2's
     radius of each game (or the NumericFailureError of its eigen-solve),
-    the C3-C7 margins (G, 5) and the arrays that the report details quote:
-    both weightings, their C3/C4 sums, whether Perron weights won, the
-    strongest coupling and the per-bin C7 eigenvalues.
+    the C3-C6 margins (G, 4), C7's matrices I + sym(H) (G, N, Q, Q) and the
+    arrays that the report details quote: both weightings, their C3/C4
+    sums, whether Perron weights won and the strongest coupling.
     """
     gain2, direct, pmax, Gamma = _stacked(list(games))
     G, Q, N = direct.shape
@@ -326,14 +326,11 @@ def _stage(games, Dq_mode: str) -> tuple:
     into_alive = _couplings(gain2, direct, Gamma, alive, np.ones_like(alive))
     strongest = into_alive.max(axis=(1, 2, 3))
     H7 = into_alive * alive.transpose(0, 2, 1)[:, :, None, :]
-    try:
-        eigmins = np.linalg.eigvalsh(np.eye(Q) + 0.5 * (H7 + H7.swapaxes(-1, -2)))[..., 0]
-    except np.linalg.LinAlgError as err:
-        raise NumericFailureError(f"eigen-solve failed: {err}") from err
+    S = np.eye(Q) + 0.5 * (H7 + H7.swapaxes(-1, -2))
     margins = np.column_stack(
         [np.where(perron[name], sums[name, "perron"], sums[name, "unit"]) for name in ("C3", "C4")]
-        + [strongest * (Q - 1), strongest * max(2 * Q - 3, 0), eigmins.min(axis=1)])
-    return kept, Hk, _radii(Hmax), margins, (weights, sums, perron, strongest, eigmins)
+        + [strongest * (Q - 1), strongest * max(2 * Q - 3, 0)])
+    return kept, Hk, _radii(Hmax), margins, S, (weights, sums, perron, strongest)
 
 
 def _c1_margins(Hk: np.ndarray) -> np.ndarray:
@@ -359,19 +356,55 @@ def _c1_margins(Hk: np.ndarray) -> np.ndarray:
     return margin
 
 
+def _eigmins(S: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric matrix in a stack (..., Q, Q)."""
+    try:
+        return np.linalg.eigvalsh(S)[..., 0]
+    except np.linalg.LinAlgError as err:
+        raise NumericFailureError(f"eigen-solve failed: {err}") from err
+
+
+def _c7_margins(S: np.ndarray) -> np.ndarray:
+    """C7 margins of the stacks S = I + sym(H) (G, N, Q, Q), shape (G,), decided by bounds first.
+
+    S has a unit diagonal and nonnegative off-diagonal entries, so a bin's
+    smallest eigenvalue is at most 1 minus its largest off-diagonal entry
+    (interlacing on a 2x2 principal block) and at least 1 minus its largest
+    off-diagonal row sum (Gershgorin).  A game whose upper bound is below
+    -1e-9 on some bin fails, and one whose lower bound is above 1e-9 on
+    every bin holds, each past a slack of 1e-12 (1 + largest row sum) that
+    covers the rounding of the bounds and of the eigen-solve; its margin is
+    that bound.  The games left open, and every game holding an entry that
+    is not finite or is above 1e150, take the eigen-solve: the margin is
+    their smallest eigenvalue, NaN where the solve returns NaN.
+    """
+    off = S - np.eye(S.shape[-1])
+    with np.errstate(over="ignore"):  # an overflowing row sum is inf, and still a bound
+        rows = off.sum(-1).max(axis=(1, 2))
+    upper, lower = 1.0 - off.max(axis=(1, 2, 3)), 1.0 - rows
+    slack = _BOUNDARY + _BOUND_SLACK * (1.0 + rows)
+    holds = lower > slack
+    margin = np.where(holds, lower, upper)
+    todo = ~holds & ~(upper < -slack) | ~(S <= 1e150).all(axis=(1, 2, 3))
+    if todo.any():
+        margin[todo] = _eigmins(S[todo]).min(axis=1)
+    return margin
+
+
 def verdict_codes(games, Dq_mode: str = "virtual_interferer") -> np.ndarray:
     """:func:`check_conditions` verdicts of games sharing (Q, N), as codes (G, 7) int8.
 
     Column c is condition ``CONDITION_NAMES[c]``; a code indexes
     :data:`VERDICT_KINDS` (0 false, 1 true, 2 boundary, 3 error).  The games
-    are certified as one stack: C2-C7 come from the arrays that
-    :func:`check_conditions` reads, C1 is decided by rigorous bounds where
-    they suffice, and its eigen-solve runs only on the games they leave open,
-    so a failing solve turns only those into errors.
+    are certified as one stack: C2-C6 come from the arrays that
+    :func:`check_conditions` reads.  C1 and C7 are decided by rigorous
+    bounds where they suffice (:func:`_c1_margins`, :func:`_c7_margins`),
+    and their eigen-solves run only on the games the bounds leave open, so a
+    failing C1 solve turns only those into errors.
     """
-    _, Hk, rho_max, margins, _ = _stage(games, Dq_mode)
+    _, Hk, rho_max, margins, S, _ = _stage(games, Dq_mode)
     c2 = [np.nan if isinstance(rho, NumericFailureError) else rho for rho in rho_max]
-    return _codes(np.column_stack([_c1_margins(Hk), c2, margins]), _ABOVE_ZERO)
+    return _codes(np.column_stack([_c1_margins(Hk), c2, margins, _c7_margins(S)]), _ABOVE_ZERO)
 
 
 def check_conditions(
@@ -387,10 +420,11 @@ def check_conditions(
         resp. 1/(2Q-3) (no bin pruning, per their original statements).
     C7: I + H(k) positive definite for every bin, tested through the
         symmetric part, with no bin pruning.
-    Every margin is exact: C1 reports each bin's radius.
+    Every margin is exact: C1 reports each bin's radius, C7 the smallest
+    eigenvalue over the bins.
     """
-    kept, Hk, (rho_max,), margins, (weights, sums, perron, strongest, eigmins) = _stage(
-        [game], Dq_mode)
+    kept, Hk, (rho_max,), margins, S, (weights, sums, perron, strongest) = _stage([game], Dq_mode)
+    eigmins = _eigmins(S[0])
     (rho_k,) = _radii(Hk)
     failed = isinstance(rho_k, NumericFailureError)
     verdicts = [_verdict("C1", rho_k if failed else rho_k.max(), {} if failed else {
@@ -403,6 +437,6 @@ def check_conditions(
     for c, name, n in ((2, "C5", game.Q - 1), (3, "C6", 2 * game.Q - 3)):
         verdicts.append(_verdict(name, margins[0, c], {
             "strongest_pair": float(strongest[0]), "threshold_raw": 1.0 / max(n, 1)}))
-    verdicts.append(_verdict("C7", margins[0, 4], {"argmin_bin": int(eigmins[0].argmin())},
+    verdicts.append(_verdict("C7", eigmins.min(), {"argmin_bin": int(eigmins.argmin())},
                              above_zero=True))
     return UniquenessReport({v.name: v for v in verdicts}, Dq_mode, kept[0])

@@ -2,7 +2,20 @@ import numpy as np
 import pytest
 
 from specnash import NormalizedGame, UNBOUNDED, build_game, ratio_scenario
+from specnash.channel import ratio_distances, ratio_sweeps
 from specnash.uniqueness import check_conditions
+
+# The Fig. 1 scenario (Q = 5, N = 64, -10 dB, order 6): every keyword of
+# ratio_scenario but seed and pmax_bar, as ratio_sweeps takes them.
+FIG1_SCENARIO = dict(Q=5, N=64, gamma=2.5, d_ratio=2.0, snr_db=-10.0, Gamma=1.0, channel_order=6,
+                     d=None, tap_variance=None, tap_decay=None)
+FIG1_RATIOS = (1.0, 2.0, 4.0, 8.0)
+
+
+def fig1_games(root_seed: int, trials) -> list:
+    """The Fig. 1 games of ``trials`` at each of FIG1_RATIOS, built as the Monte Carlo builds them."""
+    distances = [ratio_distances(5, r) for r in FIG1_RATIOS]
+    return ratio_sweeps([(root_seed, t) for t in trials], distances, **FIG1_SCENARIO)
 
 
 def flat_game(Q: int = 2, coupling: float = 0.5, N: int = 2, Gamma: float = 1.0,

@@ -11,6 +11,7 @@ from specnash import (
     frequency_response,
     ratio_scenario,
 )
+from specnash.channel import ratio_sweeps
 from tap_oracle import oracle_taps
 
 
@@ -142,6 +143,22 @@ class TestRatioScenarioTaps:
         ch = ratio_scenario(Q, 8, channel_order=L, seed=seed, **profile)
         assert ch.taps.tobytes() == oracle_taps(Q, L, seed, **profile).tobytes()
 
+    @pytest.mark.parametrize("Q,L", [(1, 0), (3, 6), (5, 6)])
+    @pytest.mark.parametrize("profile", [{"tap_variance": 0.3}, {"tap_decay": 1.7}])
+    def test_sweeps_equal_games_built_alone(self, Q, L, profile):
+        # Game t * len(distances) + i: key t's scenario at distance matrix i.
+        keys = [(9, t) for t in range(3)]
+        distances = [np.full((Q, Q), 0.5) + np.eye(Q), 2.0 + np.arange(Q * Q).reshape(Q, Q)]
+        scenario = dict(Q=Q, N=8, gamma=2.5, d_ratio=2.0, snr_db=3.0, Gamma=1.5,
+                        channel_order=L, d=None, tap_variance=None, tap_decay=None) | profile
+        games = ratio_sweeps(keys, distances, **scenario)
+        assert len(games) == len(keys) * len(distances)
+        for g, game in enumerate(games):
+            key, d = keys[g // len(distances)], distances[g % len(distances)]
+            alone = build_game(ratio_scenario(seed=key, **(scenario | {"d": d})))
+            for field in ("gain2", "pmax", "Gamma"):
+                assert getattr(game, field).tobytes() == getattr(alone, field).tobytes(), field
+
 
 class TestValidation:
     def test_channel_set_invariants(self):
@@ -187,6 +204,15 @@ class TestValidation:
             simple_channel_set(taps, *args, N=2, Gamma=np.array([bad, 1.0]))
         with pytest.raises(InvalidInputError, match="^gamma must be finite"):
             simple_channel_set(taps, *args, N=2, gamma=bad)
+
+    def test_vanishing_path_loss_named(self):
+        # 0.5**1e300 underflows to 0, which made the gains infinite.
+        taps = np.ones((2, 2, 1), dtype=np.complex128)
+        d = np.array([[1.0, 0.5], [2.0, 1.0]])
+        with pytest.raises(InvalidInputError, match=r"^gamma and d must give d\*\*gamma > 0, "
+                                                    r"got gamma=1e\+300 with d entry 0.5$"):
+            simple_channel_set(taps, d, np.ones(2), np.ones(2), N=2, gamma=1e300)
+        simple_channel_set(taps, d, np.ones(2), np.ones(2), N=2, gamma=300.0)
 
     def test_ratio_scenario_rejects_more_taps_than_bins_before_drawing(self, monkeypatch):
         # The Q*Q*2*(L+1) normals were drawn before ChannelSet rejected L+1 > N.

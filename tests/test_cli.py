@@ -23,7 +23,8 @@ from specnash.experiments import (
     run_verify_theorem1,
     scenario_from_config,
 )
-from specnash.uniqueness import check_conditions
+from specnash.uniqueness import CONDITION_NAMES, check_conditions
+from trial_oracle import oracle_trial_codes
 
 MC_CFG = {
     "kind": "uniqueness_mc",
@@ -131,6 +132,30 @@ class TestUniquenessMc:
         run_uniqueness_mc(MC_CFG, b, workers=2)
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    @pytest.mark.parametrize("change", [
+        {"trials": 21, "Dq_modes": ["virtual_interferer", "all"]},  # not a whole number of chunks
+        {"trials": 10, "scenario": MC_CFG["scenario"] | {"d": [[1.0, 2.0, 3.0], [1.5, 1.0, 2.5],
+                                                             [0.7, 4.0, 1.0]]}},
+        {"trials": 10, "seed": 8, "scenario": MC_CFG["scenario"] | {"tap_decay": 1.5}},
+    ])
+    def test_chunks_equal_trial_oracle(self, tmp_path, change):
+        # Chunks of trials certified as one stack give each trial's verdicts as
+        # certifying the trials one by one did, with one worker or two.
+        cfg = MC_CFG | change
+        codes = np.stack([oracle_trial_codes(cfg, t) for t in range(cfg["trials"])])
+        outputs = []
+        for workers in (1, 2):
+            out = str(tmp_path / f"w{workers}.csv")
+            summary = run_uniqueness_mc(cfg, out, workers=workers)
+            outputs.append(open(out, "rb").read() + open(out + ".meta.json", "rb").read())
+            for i, ratio in enumerate(summary["ratios"]):
+                for j, mode in enumerate(summary["modes"]):
+                    for c, name in enumerate(CONDITION_NAMES):
+                        key, count = (ratio, mode, name), np.bincount(codes[:, i, j, c], minlength=4)
+                        assert summary["probs"][key] == count[1] / cfg["trials"], key
+                        assert (summary["boundary"][key], summary["errors"][key]) == tuple(count[2:])
+        assert outputs[0] == outputs[1]
+
     def test_meta_sidecar(self, tmp_path):
         out = str(tmp_path / "mc.csv")
         run_uniqueness_mc(MC_CFG, out)
@@ -156,6 +181,7 @@ class TestUniquenessMc:
             raise AssertionError("config rejected only after building a channel")
 
         monkeypatch.setattr(experiments_mod, "scenario_from_config", no_channel)
+        monkeypatch.setattr(experiments_mod, "ratio_sweeps", no_channel)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(MC_CFG | change))
         out = tmp_path / "mc.csv"
@@ -483,6 +509,7 @@ class TestConfigValidation:
             raise AssertionError("config rejected only after building a channel")
 
         monkeypatch.setattr(experiments_mod, "scenario_from_config", fail)
+        monkeypatch.setattr(experiments_mod, "ratio_sweeps", fail)
 
     def run(self, tmp_path, command, cfg):
         cfg_path = tmp_path / "cfg.json"
@@ -771,6 +798,19 @@ class TestConfigValidation:
             "numeric failure: C1: eigen-solve failed: Eigenvalues did not converge; "
             "C2: eigen-solve failed: Eigenvalues did not converge\n")
 
+    def test_vanishing_path_loss_exit_code(self, tmp_path, capsys):
+        # 0.5**1e300 underflows to 0: the CLI printed a divide-by-zero
+        # RuntimeWarning and exited 1 naming gain2.
+        cfg = {"kind": "uniqueness_mc", "trials": 2,
+               "scenario": {"Q": 2, "N": 8, "gamma": 1e300, "d_ratio": 0.5}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = self.run(tmp_path, "montecarlo", cfg)
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: gamma and d must give d**gamma > 0, got gamma=1e+300 with d entry 0.5\n")
+
     @pytest.mark.parametrize("command,cfg,key", [
         ("solve", PSD_CFG | {"scenario": PSD_CFG["scenario"] | {"d_ratio": 0.0}}, "d_ratio"),
         ("solve", PSD_CFG | {"scenario": PSD_CFG["scenario"] | {"d_ratio": float("nan")}},
@@ -1003,13 +1043,19 @@ class TestCliContract:
 
         monkeypatch.setattr(experiments, "Pool", FakePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-        cfg = MC_CFG | {"trials": 2, "d_ratio_sweep": [2.0]}
+        chunk = experiments._CHUNK  # trials certified per chunk, the unit a worker takes
+        cfg = MC_CFG | {"trials": 3 * chunk, "d_ratio_sweep": [2.0]}
         run_uniqueness_mc(cfg, str(tmp_path / "a.csv"), workers=64)
         assert sizes == [3]
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: 1)
         run_uniqueness_mc(cfg, str(tmp_path / "b.csv"), workers=64)
         assert sizes == [3]  # one CPU: serial, no pool
         assert open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+        # Capped at the number of chunks, and one chunk runs in this process.
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        run_uniqueness_mc(cfg | {"trials": chunk + 1}, str(tmp_path / "c.csv"), workers=64)
+        run_uniqueness_mc(cfg | {"trials": chunk}, str(tmp_path / "d.csv"), workers=64)
+        assert sizes == [3, 2]
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import specnash.uniqueness as uniqueness
-from conftest import flat_game
+from conftest import FIG1_RATIOS, fig1_games, flat_game
 from matrix_classes import is_K, is_P, is_Z
 from perron_oracle import oracle_spectral_radius
 from specnash import InvalidInputError, NumericFailureError, UNBOUNDED, build_game, ratio_scenario
-from specnash.channel import NormalizedGame, distance_sweep, ratio_distances
+from specnash.channel import NormalizedGame
 from specnash.uniqueness import (
     CONDITION_NAMES,
     DQ_MODES,
@@ -331,6 +331,8 @@ class TestCheckConditions:
         c7 = report["C7"]
         assert c7.satisfied is None and np.isnan(c7.margin) and c7.error == "C7 margin is NaN"
         assert report["C1"].error is None and not report.satisfied("C7")
+        game = NormalizedGame(gain2=g, pmax=np.full((2, 4), UNBOUNDED), Gamma=np.ones(2))
+        assert verdict_codes([game, flat_game(Q=2, coupling=0.25, N=4)])[:, 6].tolist() == [3, 1]
 
     def test_single_user_all_pass(self):
         ch = ratio_scenario(1, 4, seed=1, channel_order=2)
@@ -469,18 +471,17 @@ class TestStackAgainstOracle:
     """The stacked verdict codes and each game's report agree with the per-game oracle."""
 
     def test_fig1_games(self):
-        # 120 Fig. 1 trials x 4 distance ratios, built the way the Monte Carlo
-        # builds them (one tap draw per trial) and, for the oracle, one game
-        # per ratio as before.
-        ratios = (1.0, 2.0, 4.0, 8.0)
+        # 120 Fig. 1 trials x 4 distance ratios, built and certified the way
+        # the Monte Carlo does it (8 trials to a stack) and, for the oracle,
+        # one game per trial and ratio, built alone.
         scen = dict(gamma=2.5, snr_db=-10.0, channel_order=6)
-        for trial in range(120):
-            ch = ratio_scenario(5, 64, seed=(0, trial), d_ratio=ratios[0], **scen)
-            games = distance_sweep(ch, [ratio_distances(5, r) for r in ratios])
-            modes = DQ_MODES if trial < 20 else ("virtual_interferer",)
+        for start in range(0, 120, 8):
+            games = fig1_games(0, range(start, start + 8))
+            modes = DQ_MODES if start < 16 else ("virtual_interferer",)
             for mode in modes:
                 codes = verdict_codes(games, mode).tolist()
-                for r, game, game_codes in zip(ratios, games, codes):
+                for g, (game, game_codes) in enumerate(zip(games, codes)):
+                    trial, r = start + g // 4, FIG1_RATIOS[g % 4]
                     alone = build_game(ratio_scenario(5, 64, seed=(0, trial), d_ratio=r, **scen))
                     oracle = oracle_check_conditions(alone, mode)
                     assert game_codes == report_codes(oracle), (trial, r, mode)
@@ -606,6 +607,57 @@ def code_stacks(draw):
     return stack
 
 
+@st.composite
+def c7_stacks(draw):
+    """Up to four games sharing (Q, N) whose C7 margin sits at the 1e-9 boundary band.
+
+    Flat games have coupling 1 + k 2.5e-10, so the smallest eigenvalue of
+    I + sym(H) is -k 2.5e-10, or (1 + k 2.5e-10) / (Q - 1), which puts the
+    Gershgorin bound there instead; random games have their cross gains
+    rescaled so that the eigenvalue lands at +-{0.5, 1, 1.5, 3}e-9.
+    """
+    Q, N = draw(st.integers(2, 3)), draw(st.integers(1, 6))
+    stack = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            coupling = 1.0 + draw(st.integers(-8, 8)) * 2.5e-10
+            stack.append(flat_game(Q=Q, coupling=coupling / draw(st.sampled_from([1, Q - 1])), N=N))
+            continue
+        gain2 = 10.0 ** draw(arrays(np.float64, (Q, Q, N), elements=st.floats(-2.0, 2.0)))
+        Gamma = draw(arrays(np.float64, Q, elements=st.floats(1.0, 4.0)))
+        game = NormalizedGame(gain2=gain2, pmax=np.full((Q, N), UNBOUNDED), Gamma=Gamma)
+        target = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([0.5, 1.0, 1.5, 3.0]))
+        # I + a sym(H) has smallest eigenvalue 1 + a (margin - 1) when the cross gains scale by a.
+        gain2[~np.eye(Q, dtype=bool)] *= (target * 1e-9 - 1.0) / (
+            check_conditions(game)["C7"].margin - 1.0)
+        stack.append(NormalizedGame(gain2=gain2, pmax=game.pmax, Gamma=Gamma))
+    return stack
+
+
+class TestC7Screen:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(stack=c7_stacks())
+    def test_equals_exact_eigenvalues(self, stack):
+        expected = [report_codes(check_conditions(game)) for game in stack]
+        assert verdict_codes(stack).tolist() == expected
+
+    def test_bounds_decide_without_eigen_solve(self, monkeypatch):
+        # Q = 2 couplings 0.5 and 1.5, 2e-9 past 1 (an eigenvalue -2e-9, the
+        # interlacing bound itself), and Q = 3 couplings 0.25 (Gershgorin:
+        # >= 0.5) and 1.2 (interlacing: <= -0.2).
+        games = [[flat_game(Q=2, coupling=c, N=3) for c in (0.5, 1.5, 1.0 + 2e-9)],
+                 [flat_game(Q=3, coupling=c, N=3) for c in (0.25, 1.2)]]
+        expected = [[report_codes(check_conditions(game))[6] for game in stack]
+                    for stack in games]
+
+        def no_solve(S):
+            raise AssertionError("C7 eigen-solve on a bound-decided game")
+
+        monkeypatch.setattr(uniqueness, "_eigmins", no_solve)
+        assert [verdict_codes(stack)[:, 6].tolist() for stack in games] == expected
+        assert expected == [[1, 0, 0], [1, 0]]
+
+
 class TestVerdictCodes:
     @pytest.mark.parametrize("margin,above_zero,code", [
         (0.5, False, 1), (1.5, False, 0), (1.0 - 5e-10, False, 2), (1.0 + 9e-10, False, 2),
@@ -635,27 +687,31 @@ class TestVerdictCodes:
         assert codes.tolist() == expected
 
     def test_fig1_games_take_few_eigen_solves(self, monkeypatch):
-        radii = uniqueness._radii
-        c1_solves = []
+        radii, eigmins = uniqueness._radii, uniqueness._eigmins
+        c1_solves, c7_solves = [], []
 
-        def counted(H):
+        def counted_radii(H):
             if H.ndim == 4:  # C1's per-bin stack, one game at a time
                 c1_solves.append(len(H))
             return radii(H)
 
-        scen = dict(gamma=2.5, snr_db=-10.0, channel_order=6)
+        def counted_eigmins(S):
+            c7_solves.append(len(S))  # C7's per-bin stacks of the games left open
+            return eigmins(S)
+
         games_seen = 0
-        for trial in range(25):
-            ch = ratio_scenario(5, 64, seed=(3, trial), d_ratio=1.0, **scen)
-            games = distance_sweep(ch, [ratio_distances(5, r) for r in (1.0, 2.0, 4.0, 8.0)])
+        for start in range(0, 25, 8):  # 25 trials x 4 ratios x 2 modes: 200 games
+            games = fig1_games(3, range(start, min(start + 8, 25)))
             for mode in DQ_MODES:
                 expected = [report_codes(check_conditions(game, mode)) for game in games]
                 with monkeypatch.context() as mp:
-                    mp.setattr(uniqueness, "_radii", counted)
+                    mp.setattr(uniqueness, "_radii", counted_radii)
+                    mp.setattr(uniqueness, "_eigmins", counted_eigmins)
                     assert verdict_codes(games, mode).tolist() == expected
                 games_seen += len(games)
         assert set(c1_solves) == {1}
         assert 0 < len(c1_solves) < games_seen / 3
+        assert 0 < sum(c7_solves) < games_seen / 10
 
     def test_eigen_failure_spares_bound_decided_games(self, monkeypatch):
         # Flat Q = 3 games.  Coupling 0.25 has rho 0.5, and its row sums show
