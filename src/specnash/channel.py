@@ -256,26 +256,27 @@ def ratio_scenario(
     return ch
 
 
-def ratio_sweeps(keys, distances, **scenario) -> list:
-    """Games of ``ratio_scenario(seed=key, **scenario)`` at each distance matrix, for each key.
+def ratio_sweeps(keys, distances, Q: int, N: int, **scenario) -> list:
+    """Games of ``ratio_scenario(Q, N, seed=key, **scenario)`` at each distance matrix, for each key.
 
-    ``scenario`` gives every keyword of :func:`ratio_scenario` but ``seed``
-    and ``pmax_bar``.  Game ``t * len(distances) + i`` equals
+    ``scenario`` takes any keyword of :func:`ratio_scenario` but ``seed``,
+    with the same defaults.  Game ``t * len(distances) + i`` equals
     :func:`build_game` of key t's scenario with ``d = distances[i]``, bit
     for bit, but the taps of all keys come from one draw and one FFT, and
-    each distance's gain scale is computed once.
+    each distance's gain scale is computed once.  As from build_game, each
+    game owns its ``pmax`` and ``Gamma``; its ``gain2`` is its own slice of
+    one array.
     """
-    ch, taps = _ratio_draw(keys, **scenario, pmax_bar=None)
+    ch, taps = _ratio_draw(keys, Q, N, **scenario)
     fading2 = np.abs(frequency_response(taps, ch.N)) ** 2
     scales = np.stack([_gain_scale(replace(ch, d=d)) for d in distances])
     gain2 = fading2[:, None] * scales[:, :, :, None]
-    pmax = ch.pmax_bar / ch.P[:, None]
-    return [NormalizedGame(gain2=g, pmax=pmax, Gamma=ch.Gamma)
+    return [NormalizedGame(gain2=g, pmax=ch.pmax_bar / ch.P[:, None], Gamma=ch.Gamma.copy())
             for g in gain2.reshape(-1, *gain2.shape[2:])]
 
 
-def _ratio_draw(keys, Q, N, gamma, d_ratio, snr_db, Gamma, channel_order, d, tap_variance,
-                tap_decay, pmax_bar) -> tuple:
+def _ratio_draw(keys, Q, N, gamma=2.5, d_ratio=2.0, snr_db=10.0, Gamma=1.0, channel_order=6,
+                d=None, tap_variance=None, tap_decay=None, pmax_bar=None) -> tuple:
     """:func:`ratio_scenario` of the first seed key, and the taps of every key (K, Q, Q, L+1).
 
     The one tap rule: key k's streams are keyed by ``keys[k] + (r, q)``, and

@@ -5,10 +5,8 @@ from specnash import NormalizedGame, UNBOUNDED, build_game, ratio_scenario
 from specnash.channel import ratio_distances, ratio_sweeps
 from specnash.uniqueness import check_conditions
 
-# The Fig. 1 scenario (Q = 5, N = 64, -10 dB, order 6): every keyword of
-# ratio_scenario but seed and pmax_bar, as ratio_sweeps takes them.
-FIG1_SCENARIO = dict(Q=5, N=64, gamma=2.5, d_ratio=2.0, snr_db=-10.0, Gamma=1.0, channel_order=6,
-                     d=None, tap_variance=None, tap_decay=None)
+# The Fig. 1 scenario (Q = 5, N = 64, -10 dB, order 6) as ratio_sweeps takes it.
+FIG1_SCENARIO = dict(Q=5, N=64, gamma=2.5, snr_db=-10.0, channel_order=6)
 FIG1_RATIOS = (1.0, 2.0, 4.0, 8.0)
 
 

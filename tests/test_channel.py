@@ -149,8 +149,7 @@ class TestRatioScenarioTaps:
         # Game t * len(distances) + i: key t's scenario at distance matrix i.
         keys = [(9, t) for t in range(3)]
         distances = [np.full((Q, Q), 0.5) + np.eye(Q), 2.0 + np.arange(Q * Q).reshape(Q, Q)]
-        scenario = dict(Q=Q, N=8, gamma=2.5, d_ratio=2.0, snr_db=3.0, Gamma=1.5,
-                        channel_order=L, d=None, tap_variance=None, tap_decay=None) | profile
+        scenario = dict(Q=Q, N=8, snr_db=3.0, Gamma=1.5, channel_order=L) | profile
         games = ratio_sweeps(keys, distances, **scenario)
         assert len(games) == len(keys) * len(distances)
         for g, game in enumerate(games):
@@ -158,6 +157,9 @@ class TestRatioScenarioTaps:
             alone = build_game(ratio_scenario(seed=key, **(scenario | {"d": d})))
             for field in ("gain2", "pmax", "Gamma"):
                 assert getattr(game, field).tobytes() == getattr(alone, field).tobytes(), field
+        # Each game owns its arrays, as a game from build_game does.
+        for field in ("gain2", "pmax", "Gamma"):
+            assert not np.shares_memory(getattr(games[0], field), getattr(games[1], field)), field
 
 
 class TestValidation:

@@ -473,11 +473,12 @@ class TestStackAgainstOracle:
     def test_fig1_games(self):
         # 120 Fig. 1 trials x 4 distance ratios, built and certified the way
         # the Monte Carlo does it (8 trials to a stack) and, for the oracle,
-        # one game per trial and ratio, built alone.
+        # one game per trial and ratio, built alone.  Both Dq modes on the
+        # first 24 trials (three whole stacks), the rest in one.
         scen = dict(gamma=2.5, snr_db=-10.0, channel_order=6)
         for start in range(0, 120, 8):
             games = fig1_games(0, range(start, start + 8))
-            modes = DQ_MODES if start < 16 else ("virtual_interferer",)
+            modes = DQ_MODES if start < 24 else ("virtual_interferer",)
             for mode in modes:
                 codes = verdict_codes(games, mode).tolist()
                 for g, (game, game_codes) in enumerate(zip(games, codes)):
