@@ -209,7 +209,8 @@ def build_game(ch: ChannelSet) -> NormalizedGame:
 
 def _gain_scale(ch: ChannelSet) -> np.ndarray:
     """``P_r / (sigma2_q * d_rq**gamma)``, shape (Q, Q): what turns fading powers into gains."""
-    return ch.P[:, None] / (ch.sigma2[None, :] * ch.d**ch.gamma)
+    with np.errstate(over="ignore"):  # an infinite path loss is a zero gain
+        return ch.P[:, None] / (ch.sigma2[None, :] * ch.d**ch.gamma)
 
 
 def ratio_distances(Q: int, d_ratio: float) -> np.ndarray:

@@ -25,10 +25,11 @@ from .waterfilling import PowerProfile, WaterfillInput, waterfill, waterfill_row
 class Classification:
     """Regime summary of a converged profile.
 
-    exclusive[q] holds the bins where only user q transmits; the profile is
-    orthogonal when every active bin is exclusive to someone.  flatness[q]
-    is the coefficient of variation of user q's power over its support
-    (0 for a perfectly flat allocation).
+    A user transmits on a bin where its power exceeds 1e-6.  exclusive[q]
+    holds the bins where only user q transmits; the profile is orthogonal
+    when every active bin is exclusive to someone.  flatness[q] is the
+    coefficient of variation of user q's power over its support (0 for a
+    perfectly flat allocation).
     """
 
     exclusive: tuple
@@ -44,7 +45,7 @@ class EquilibriumResult:
     iterations: int
     converged: bool
     classification: Classification | None
-    trace: np.ndarray = field(repr=False, default=None)
+    trace: np.ndarray = field(repr=False)
 
 
 def best_response(q: int, p: np.ndarray, game: NormalizedGame) -> np.ndarray:
@@ -71,7 +72,7 @@ def _response_map(p: np.ndarray, game: NormalizedGame) -> np.ndarray:
 def solve(
     game: NormalizedGame,
     schedule: str = "sequential",
-    init: np.ndarray | PowerProfile | None = None,
+    init: np.ndarray | None = None,
     tol: float = 1e-8,
     max_iter: int = 1000,
     order_seed: int | None = None,
@@ -100,7 +101,7 @@ def solve(
     if init is None:
         p = np.minimum(1.0, game.pmax)
     else:
-        p = np.array(init.p if isinstance(init, PowerProfile) else init, dtype=np.float64)
+        p = np.array(init, dtype=np.float64)
         if p.shape != (Q, game.N):
             raise InvalidInputError("init profile has the wrong shape")
         if not np.isfinite(p).all():
@@ -142,10 +143,10 @@ def solve(
     )
 
 
-def classify_profile(p: np.ndarray, game: NormalizedGame, eps: float = 1e-6) -> Classification:
+def classify_profile(p: np.ndarray, game: NormalizedGame) -> Classification:
     """Regime classification of a raw profile (see :class:`Classification`)."""
     p = np.asarray(p, dtype=np.float64)
-    above = p > eps
+    above = p > 1e-6
     users_on = above.sum(axis=0)
     exclusive = tuple(np.nonzero(above[q] & (users_on == 1))[0] for q in range(game.Q))
     active = users_on > 0
@@ -174,7 +175,7 @@ class AllocationRuleCheck:
 
 
 def check_allocation_rule(
-    res: EquilibriumResult | PowerProfile | np.ndarray,
+    res: EquilibriumResult | np.ndarray,
     game: NormalizedGame,
 ) -> AllocationRuleCheck:
     """Verify the bin-assignment ordering at an orthogonal equilibrium.
@@ -194,8 +195,6 @@ def check_allocation_rule(
         if not res.converged:
             raise InvalidInputError("allocation rule requires a converged result")
         p = res.profile.p
-    elif isinstance(res, PowerProfile):
-        p = res.p
     else:
         p = np.asarray(res, dtype=np.float64)
     cls = classify_profile(p, game)
@@ -265,7 +264,6 @@ def orthogonal_profile(game: NormalizedGame, partition) -> np.ndarray:
             i=np.ones(N),
             Gamma=game.Gamma[q],
             pmax=restricted,
-            budget=1.0,
         )
         p[q] = waterfill(inp)
     return p

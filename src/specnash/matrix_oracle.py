@@ -58,7 +58,8 @@ class LinkMatrices:
 def circulant_links(ch: ChannelSet) -> LinkMatrices:
     """Build the exact circulant channel matrices of a scenario."""
     W = fourier_matrix(ch.N)
-    resp = frequency_response(ch.taps, ch.N) / np.sqrt(ch.d**ch.gamma)[:, :, None]
+    with np.errstate(over="ignore"):  # an infinite path loss is a zero channel
+        resp = frequency_response(ch.taps, ch.N) / np.sqrt(ch.d**ch.gamma)[:, :, None]
     H = np.einsum("ij,rqj,kj->rqik", W, resp, W.conj())
     return LinkMatrices(H=H, sigma2=ch.sigma2.copy())
 
@@ -81,22 +82,20 @@ def _bin_powers(C: np.ndarray) -> np.ndarray:
     return np.einsum("ki,...ij,jk->...k", W.conj().T, C, W).real
 
 
-def _feasible(F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray, tol: float) -> np.ndarray:
-    """Trace budget and per-bin mask feasibility of (..., N, N) precoders, shape (...)."""
+def _feasible(F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray) -> np.ndarray:
+    """Trace budget and per-bin mask feasibility of (..., N, N) precoders to 1e-9, shape (...)."""
     N = F.shape[-1]
     cov = F @ _hermitian(F)
-    within_budget = np.trace(cov, axis1=-2, axis2=-1).real / N <= P_q * (1 + tol)  # NaN fails
+    within_budget = np.trace(cov, axis1=-2, axis2=-1).real / N <= P_q * (1 + 1e-9)  # NaN fails
     if not np.isfinite(pmax_bar_q).any():  # no mask to check
         return within_budget
-    return within_budget & (_bin_powers(cov) <= pmax_bar_q * (1 + tol) + tol).all(axis=-1)
+    return within_budget & (_bin_powers(cov) <= pmax_bar_q * (1 + 1e-9) + 1e-9).all(axis=-1)
 
 
-def precoder_feasible(
-    F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray, tol: float = 1e-9
-) -> bool:
+def precoder_feasible(F: np.ndarray, P_q: float, pmax_bar_q: np.ndarray) -> bool:
     """Feasibility of one precoder in the matrix game's strategy set: the
-    trace (transmit power) budget plus the spectral mask on every bin."""
-    return bool(_feasible(np.asarray(F, dtype=np.complex128), P_q, pmax_bar_q, tol))
+    trace (transmit power) budget plus the spectral mask on every bin, to 1e-9."""
+    return bool(_feasible(np.asarray(F, dtype=np.complex128), P_q, pmax_bar_q))
 
 
 def interference_covariance(q: int, precoders: np.ndarray, links: LinkMatrices) -> np.ndarray:
@@ -238,24 +237,24 @@ def _feasible_precoders(
     vals = np.clip(vals, 0.0, None)
     U, _ = np.linalg.qr((Z[:, 2] + 1j * Z[:, 3]) / np.sqrt(2.0))
     F = vecs @ (np.sqrt(vals)[:, :, None] * U)
-    if not _feasible(F, P_q, pmax_bar_q, 1e-9).all():
+    if not _feasible(F, P_q, pmax_bar_q).all():
         raise NumericFailureError("sampler produced an infeasible precoder")
     return F
 
 
-def random_feasible_precoder(
-    rng: np.random.Generator, P_q: float, pmax_bar_q: np.ndarray, N: int
-) -> np.ndarray:
-    """Random precoder inside the trace-and-mask feasible set.
+def random_feasible_precoder(rng: np.random.Generator, P_q: float, pmax_bar_q) -> np.ndarray:
+    """Random N x N precoder inside the trace-and-mask feasible set, N = ``pmax_bar_q.size``.
 
     One draw of the stacked sampler: four N x N blocks of standard normals
     taken from ``rng`` in order (A real, A imaginary, B real, B imaginary).
     """
+    N = np.size(pmax_bar_q)
     return _feasible_precoders(rng.standard_normal((1, 4, N, N)), P_q, pmax_bar_q)[0]
 
 
-def _precoder_stack(seed: int, samples: int, P_q: float, pmax_bar_q, N: int) -> np.ndarray:
+def _precoder_stack(seed: int, samples: int, P_q: float, pmax_bar_q) -> np.ndarray:
     """(samples, N, N) random feasible precoders; sample s draws from ``derive_rng(seed, s)``."""
+    N = len(pmax_bar_q)
     Z = keyed_normals([(seed, s) for s in range(samples)], (4, N, N))
     return _feasible_precoders(Z, P_q, np.asarray(pmax_bar_q, dtype=np.float64))
 
@@ -270,25 +269,25 @@ class DiagonalOptimalityReport:
     values: np.ndarray
 
 
-def _instance(ch: ChannelSet, samples: int, opponents: np.ndarray | None) -> tuple:
+def _instance(ch: ChannelSet, samples: int) -> tuple:
     """Game, links, opponents' profiles and their diagonal precoders of one
-    scenario: built once for all of its (user, payoff) reports."""
+    scenario, built once for all of its (user, payoff) reports; opponents play uniform, capped."""
     if ch.N > 8:
         raise InvalidInputError("oracle is dense-only; N <= 8")
     if samples < 50:
         raise InvalidInputError("need at least 50 samples for a meaningful check")
     game = build_game(ch)
-    opponents = np.asarray(np.minimum(1.0, game.pmax) if opponents is None else opponents,
-                           dtype=np.float64)
+    opponents = np.minimum(1.0, game.pmax)
     precoders = np.stack([precoder_from_profile(opponents[r], ch.P[r]) for r in range(ch.Q)])
     return game, circulant_links(ch), opponents, precoders
 
 
-def _user_reports(ch, instance, q, seed, samples, payoffs, Gamma, tol) -> list:
+def _user_reports(ch, instance, q, seed, samples, payoffs, Gamma) -> list:
     """User q's report under each payoff, all scored on one draw of its
-    precoders and one whitened form F^H H^H R^-1 H F against the opponents."""
+    precoders and one whitened form F^H H^H R^-1 H F against the opponents.
+    A sample beating the diagonal response by more than 1e-9 is a violation."""
     game, links, opponents, precoders = instance
-    F = _precoder_stack(seed, samples, float(ch.P[q]), ch.pmax_bar[q], ch.N)
+    F = _precoder_stack(seed, samples, float(ch.P[q]), ch.pmax_bar[q])
     M = _whitened_channel(q, F, links, interference_covariance(q, precoders, links))[2]
     i = game.interference(opponents)[q]
     reports = []
@@ -305,7 +304,7 @@ def _user_reports(ch, instance, q, seed, samples, payoffs, Gamma, tol) -> list:
             raise InvalidInputError(f"unknown payoff {payoff!r}")
         excess = values - best_value
         reports.append(DiagonalOptimalityReport(
-            violations=int((excess > tol).sum()), max_gap=float(excess.max()),
+            violations=int((excess > 1e-9).sum()), max_gap=float(excess.max()),
             best_response_value=best_value, values=values,
         ))
     return reports
@@ -318,19 +317,16 @@ def verify_diagonal_optimality(
     seed: int = 0,
     payoff: str = "mutual_information",
     Gamma: float | None = None,
-    opponents: np.ndarray | None = None,
-    tol: float = 1e-9,
 ) -> DiagonalOptimalityReport:
     """Check that no random feasible precoder beats the diagonal response.
 
-    Opponents are fixed to diagonal profiles (uniform by default); user
-    q's diagonal best response is the waterfilling solution of the reduced
-    game, and every sampled precoder's payoff must stay within ``tol`` of
-    it.  Works for both payoffs: exact mutual information and the
+    Opponents are fixed to uniform diagonal profiles, capped by their
+    masks; user q's diagonal best response is the waterfilling solution of
+    the reduced game, and every sampled precoder's payoff must stay within
+    1e-9 of it.  Works for both payoffs: exact mutual information and the
     gap-approximation rate (pass Gamma).
     """
-    instance = _instance(ch, samples, opponents)
-    return _user_reports(ch, instance, q, seed, samples, [payoff], Gamma, tol)[0]
+    return _user_reports(ch, _instance(ch, samples), q, seed, samples, [payoff], Gamma)[0]
 
 
 def verify_instance(ch: ChannelSet, seeds, samples: int, payoffs, Gamma: float) -> list:
@@ -338,9 +334,9 @@ def verify_instance(ch: ChannelSet, seeds, samples: int, payoffs, Gamma: float) 
     from ``seeds[q]``) under each payoff, the gap one at ``Gamma``, in (user,
     payoff) order.  The game, the links and each user's draw and whitened
     form are built once, and every payoff is scored on them."""
-    instance = _instance(ch, samples, None)
+    instance = _instance(ch, samples)
     return [report for q, seed in enumerate(seeds)
-            for report in _user_reports(ch, instance, q, seed, samples, payoffs, Gamma, 1e-9)]
+            for report in _user_reports(ch, instance, q, seed, samples, payoffs, Gamma)]
 
 
 def majorization_leq(x: np.ndarray, y: np.ndarray, tol: float = 1e-12) -> bool:

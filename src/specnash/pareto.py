@@ -79,16 +79,16 @@ def scalarized_gradient(p: np.ndarray, game: NormalizedGame, weights: np.ndarray
     return total
 
 
-def project_profile(y: np.ndarray, pmax: np.ndarray, budget: float = 1.0) -> np.ndarray:
+def project_profile(y: np.ndarray, pmax: np.ndarray) -> np.ndarray:
     """Euclidean projection of one user's vector onto its strategy set.
 
-    The set is {0 <= x <= pmax, mean(x) <= budget}.  When the budget cuts,
-    the projection is clip(y + mu, 0, pmax), with the shift mu solved
-    exactly as the water level of prices -y (see ``level_solve``).
+    The set is {0 <= x <= pmax, mean(x) <= 1} (budgets are normalized).  When
+    the budget cuts, the projection is clip(y + mu, 0, pmax), with the shift
+    mu solved exactly as the water level of prices -y (see ``level_solve``).
     """
     y = np.asarray(y, dtype=np.float64)
     x = np.clip(y, 0.0, pmax)
-    target = budget * y.size
+    target = float(y.size)
     if x.sum() <= target + 1e-15:
         return x
     return np.clip(y + level_solve(-y, pmax, target), 0.0, pmax)

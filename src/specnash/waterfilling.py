@@ -11,8 +11,9 @@ bins that can enter sum to at least N * budget, with no tolerance (caps
 summing to exactly that put every bin at its cap).  If all caps sum to
 less, the constraint set pins every bin to its cap and that trivial
 allocation is returned; if only the usable bins fall short, they are
-saturated.  Bins with g(k) = 0 carry an infinite price and receive zero
-power whenever the budget can be met.
+saturated.  A bin is usable when its price Gamma*i(k)/g(k) is finite: bins
+with g(k) = 0, or so small that the price overflows, carry an infinite
+price and receive zero power whenever the budget can be met.
 
 The level is found by :func:`level_solve`, an exact sort-based solve over
 the piecewise-linear supply curve (O(N log N)) that also serves stacks of
@@ -36,6 +37,8 @@ import numpy as np
 from .channel import NormalizedGame
 from .errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
 
+_TINY = float(np.finfo(np.float64).tiny)  # below it, a gain's price Gamma*i/g can overflow
+
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -52,16 +55,12 @@ class PowerProfile:
         """Fraction of each user's budget in use, shape (Q,)."""
         return self.p.mean(axis=1)
 
-    def is_feasible(self, game: NormalizedGame, tol: float = 1e-9) -> bool:
-        """Check 0 <= p <= pmax per bin and mean_k p(k) <= 1 per user."""
+    def is_feasible(self, game: NormalizedGame) -> bool:
+        """Check 0 <= p <= pmax per bin and mean_k p(k) <= 1 per user, to 1e-9."""
         p = self.p
-        if p.shape != (game.Q, game.N):
-            return False
-        return bool(
-            (p >= -tol).all()
-            and (p <= game.pmax + tol).all()
-            and (self.budget_used() <= 1.0 + tol).all()
-        )
+        return p.shape == (game.Q, game.N) and bool(
+            (p >= -1e-9).all() and (p <= game.pmax + 1e-9).all()
+            and (self.budget_used() <= 1.0 + 1e-9).all())
 
 
 @dataclass(frozen=True)
@@ -230,11 +229,11 @@ def waterfill_rows(g, i, Gamma, pmax, budget: float = 1.0):
     col = (lambda a: np.asarray(a)[..., None]) if rows else (lambda a: a)
     gi = col(Gamma) * i
     target = budget * g.shape[-1]
-    if g.min() > 0.0:
+    if g.min() >= _TINY:
         prices = gi / g
     else:
-        # A dead bin's infinite price keeps it empty at every level.
-        prices = np.divide(gi, g, out=np.full(gi.shape, np.inf), where=g > 0.0)
+        with np.errstate(over="ignore"):  # a dead bin's infinite price keeps it empty
+            prices = np.divide(gi, g, out=np.full(gi.shape, np.inf), where=g > 0.0)
     mu = level_solve(prices, pmax, target)
     # np.clip without its dispatch overhead, which shows at N = 64.
     p = np.minimum(np.maximum(col(mu) - prices, 0.0), pmax)
@@ -253,14 +252,16 @@ def waterfill_rows(g, i, Gamma, pmax, budget: float = 1.0):
         if (missed & ~short & (((p > 0.0) & (p < pmax)).sum(-1) == 0)).any():
             raise NumericFailureError("waterfill level lost to rounding: the budget is missed")
         if short.any():
-            # The caps of the usable bins cannot absorb the budget.  Where
-            # all caps fall short too, the strategy set collapses onto them;
-            # otherwise the usable bins saturate and the rest stay unused
-            # (rate-optimal, level unbounded).
-            usable = g > 0.0
+            # The caps of the usable bins (those with a finite price) cannot
+            # absorb the budget.  Where all caps fall short too, the strategy
+            # set collapses onto them; otherwise the usable bins saturate and
+            # the rest stay unused (rate-optimal, level unbounded).
+            usable = prices < np.inf
             trivial = _capacity(pmax) < target
             if (short & ~trivial & ~usable.any(-1)).any():
-                raise InfeasibleWaterfillError("all gains are zero with caps above budget")
+                raise InfeasibleWaterfillError(
+                    "a user has no usable bin (each gain is zero or too small for a finite "
+                    "price) and caps above its budget")
             fill = np.where(col(trivial) | usable, pmax, 0.0)
             p = np.where(col(short), fill, p)
     return p, (mu if rows else float(mu))
@@ -276,26 +277,28 @@ def waterfill(inp: WaterfillInput) -> np.ndarray:
     return waterfill_rows(inp.g, inp.i, inp.Gamma, inp.pmax, inp.budget)[0]
 
 
-def kkt_residual(p: np.ndarray, inp: WaterfillInput, feas_tol: float = 1e-9) -> float:
+def kkt_residual(p: np.ndarray, inp: WaterfillInput) -> float:
     """Worst stationarity / complementary-slackness violation of ``p``.
 
     Measured in water-level units: zero (up to rounding) exactly when ``p``
     solves the same problem as :func:`waterfill`.  Interior bins must sit on
     a common level Gamma*i/g + p = mu; bins at zero must price at or above
     mu, capped bins at or below; the budget must be exhausted whenever the
-    caps allow it, and zero-gain bins must carry no power while it binds.
+    caps allow it, and dead bins (infinite price) must carry no power while it binds.
 
-    Raises if ``p`` is infeasible beyond ``feas_tol``.
+    Raises if ``p`` leaves its box or budget by more than 1e-9.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != inp.g.shape:
         raise InvalidInputError("profile and input shapes disagree")
-    if (p < -feas_tol).any() or (p > inp.pmax + feas_tol).any():
+    if (p < -1e-9).any() or (p > inp.pmax + 1e-9).any():
         raise InvalidInputError("power vector violates its box constraints")
-    if p.mean() > inp.budget + feas_tol:
+    if p.mean() > inp.budget + 1e-9:
         raise InvalidInputError("power vector exceeds the budget")
 
-    usable = inp.g > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        all_prices = inp.Gamma * inp.i / inp.g
+    usable = all_prices < np.inf
     atol = 1e-12 * max(1.0, inp.budget)
     target = inp.budget * inp.N
 
@@ -306,7 +309,7 @@ def kkt_residual(p: np.ndarray, inp: WaterfillInput, feas_tol: float = 1e-9) -> 
         # Saturation branch: usable bins at cap, dead bins irrelevant.
         return float(np.abs(p[usable] - inp.pmax[usable]).max()) if usable.any() else 0.0
 
-    prices = inp.Gamma * inp.i[usable] / inp.g[usable]
+    prices = all_prices[usable]
     caps = inp.pmax[usable]
     pu = p[usable]
     level = prices + pu

@@ -2,7 +2,7 @@
 
 ``oracle_level`` finds mu with sum_k clip(mu - prices_k, 0, caps_k) = target
 by bisecting on the supply curve of one row; ``oracle_project`` projects a
-vector onto {0 <= x <= pmax, mean(x) <= budget} by bisecting on the simplex
+vector onto {0 <= x <= pmax, mean(x) <= 1} by bisecting on the simplex
 multiplier.  Neither shares code with ``specnash.waterfilling.level_solve``,
 which solves both problems exactly by walking sorted breakpoints.
 """
@@ -37,11 +37,11 @@ def oracle_level(prices: np.ndarray, caps: np.ndarray, target: float, iters: int
     return hi
 
 
-def oracle_project(y: np.ndarray, pmax: np.ndarray, budget: float = 1.0) -> np.ndarray:
-    """Projection onto one user's strategy set by an 80-step bisection."""
+def oracle_project(y: np.ndarray, pmax: np.ndarray) -> np.ndarray:
+    """Projection onto one user's strategy set (budget 1) by an 80-step bisection."""
     y = np.asarray(y, dtype=np.float64)
     x = np.clip(y, 0.0, pmax)
-    target = budget * y.size
+    target = float(y.size)
     if x.sum() <= target + 1e-15:
         return x
     lo, hi = 0.0, float(y.max())

@@ -123,6 +123,22 @@ class TestBuildGame:
         g1, g2 = build_game(ch1), build_game(ch2)
         assert g1.gain2.tobytes() == g2.gain2.tobytes()
 
+    def test_overflowing_path_loss_is_a_zero_gain(self):
+        # 2**1e300 overflows to inf: build_game, ratio_sweeps and the
+        # circulant links printed "overflow encountered in power" (an error
+        # under this suite's warning filter) before giving the same zeros.
+        from specnash.matrix_oracle import circulant_links
+
+        scenario = {"gamma": 1e300, "d_ratio": 2.0}
+        ch = ratio_scenario(2, 8, **scenario)
+        game = build_game(ch)
+        cross = ~np.eye(2, dtype=bool)
+        assert (game.gain2[cross] == 0.0).all() and (game.gain2[~cross] > 0.0).all()
+        (swept,) = ratio_sweeps([(0,)], [ch.d], 2, 8, **scenario)
+        assert swept.gain2.tobytes() == game.gain2.tobytes()
+        H = circulant_links(ch).H
+        assert (H[cross] == 0.0).all() and np.isfinite(H).all()
+
     def test_mask_normalization(self):
         taps = np.ones((1, 1, 1), dtype=np.complex128)
         pmax_bar = np.array([[4.0, UNBOUNDED]])

@@ -811,6 +811,22 @@ class TestConfigValidation:
         assert capsys.readouterr().err == (
             "error: gamma and d must give d**gamma > 0, got gamma=1e+300 with d entry 0.5\n")
 
+    def test_user_with_no_usable_bin_exit_code(self, tmp_path, capsys):
+        # A direct tap of 1e-160 gives gain2 1e-320, whose price overflows:
+        # solve warned "overflow encountered in divide", filled the bins
+        # with their infinite caps and exited 1 naming interference factors.
+        taps = [[[[1e-160, 0.0]], [[0.3, 0.0]]], [[[0.2, 0.0]], [[0.8, 0.0]]]]
+        scen = {"taps": taps, "d": [[1.0, 2.0], [2.0, 1.0]], "gamma": 2.5,
+                "P": [1.0, 1.0], "sigma2": [1.0, 1.0], "Gamma": [1.0, 1.0], "N": 4}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out = self.run(tmp_path, "solve", {"seed": 1, "scenario": scen})
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: a user has no usable bin (each gain is zero or too small for a finite "
+            "price) and caps above its budget\n")
+
     @pytest.mark.parametrize("command,cfg,key", [
         ("solve", PSD_CFG | {"scenario": PSD_CFG["scenario"] | {"d_ratio": 0.0}}, "d_ratio"),
         ("solve", PSD_CFG | {"scenario": PSD_CFG["scenario"] | {"d_ratio": float("nan")}},

@@ -115,8 +115,7 @@ class TestMmseReceiver:
             ch = scenario(seed=s)
             links = circulant_links(ch)
             F = diagonal_precoders(ch, np.ones((2, 4)))
-            F[0] = random_feasible_precoder(np.random.default_rng(s), ch.P[0],
-                                            ch.pmax_bar[0], 4)
+            F[0] = random_feasible_precoder(np.random.default_rng(s), ch.P[0], ch.pmax_bar[0])
             mmse_receiver(0, F, links)
 
 
@@ -139,7 +138,7 @@ class TestMseSinr:
         ch = scenario(seed=8)
         links = circulant_links(ch)
         F = diagonal_precoders(ch, np.ones((2, 4)))
-        F[0] = random_feasible_precoder(rng, ch.P[0], ch.pmax_bar[0], 4)
+        F[0] = random_feasible_precoder(rng, ch.P[0], ch.pmax_bar[0])
         G = mmse_receiver(0, F, links)
         lhs = sinr_via_receiver(0, F, links, G)
         rhs = mse_sinr(0, F, links)
@@ -196,19 +195,19 @@ class TestSampler:
     def test_feasible_with_masks(self, rng):
         pmax_bar = np.array([3.0, 1.0, 5.0, 0.5])
         for s in range(30):
-            F = random_feasible_precoder(np.random.default_rng(s), 2.0, pmax_bar, 4)
+            F = random_feasible_precoder(np.random.default_rng(s), 2.0, pmax_bar)
             assert precoder_feasible(F, 2.0, pmax_bar)
 
     def test_deterministic_per_seed(self):
-        a = random_feasible_precoder(np.random.default_rng(9), 1.0, np.full(4, UNBOUNDED), 4)
-        b = random_feasible_precoder(np.random.default_rng(9), 1.0, np.full(4, UNBOUNDED), 4)
+        a = random_feasible_precoder(np.random.default_rng(9), 1.0, np.full(4, UNBOUNDED))
+        b = random_feasible_precoder(np.random.default_rng(9), 1.0, np.full(4, UNBOUNDED))
         assert a.tobytes() == b.tobytes()
 
     def test_unbounded_mask_checks_budget_and_nan(self):
         # Without a finite cap the bin powers are skipped; the trace test
         # must then reject an over-budget and a NaN precoder by itself.
         unbounded = np.full(4, UNBOUNDED)
-        F = random_feasible_precoder(np.random.default_rng(4), 2.0, unbounded, 4)
+        F = random_feasible_precoder(np.random.default_rng(4), 2.0, unbounded)
         assert precoder_feasible(F, 2.0, unbounded)
         assert not precoder_feasible(1.01 * F, 2.0, unbounded)
         bad = F.copy()
@@ -307,7 +306,7 @@ class TestStackedOracle:
     )
     def test_stack_rows_match_per_draw_sampler(self, seed, samples, N, P, mask):
         pmax_bar = np.full(N, UNBOUNDED) if mask is None else P * np.array(mask[:N])
-        F = _precoder_stack(seed, samples, P, tuple(pmax_bar.tolist()), N)
+        F = _precoder_stack(seed, samples, P, tuple(pmax_bar.tolist()))
         assert F.shape == (samples, N, N)
         for s in range(samples):
             ref, _ = oracle_precoder(derive_rng(seed, s), P, pmax_bar, N)
@@ -317,7 +316,7 @@ class TestStackedOracle:
         pmax_bar = np.array([3.0, 1.0, 5.0, 0.5])
         for s in range(20):
             ref, _ = oracle_precoder(np.random.default_rng(s), 2.0, pmax_bar, 4)
-            got = random_feasible_precoder(np.random.default_rng(s), 2.0, pmax_bar, 4)
+            got = random_feasible_precoder(np.random.default_rng(s), 2.0, pmax_bar)
             assert got.tobytes() == ref.tobytes()
 
     def test_driver_draws_once_per_instance_and_user(self, tmp_path, monkeypatch):

@@ -111,15 +111,13 @@ class TestProjection:
 
     def test_box_clip_only(self):
         pmax = np.array([1.0, UNBOUNDED])
-        np.testing.assert_allclose(
-            project_profile(np.array([3.0, -1.0]), pmax, budget=2.0), [1.0, 0.0]
-        )
+        np.testing.assert_allclose(project_profile(np.array([3.0, -1.0]), pmax), [1.0, 0.0])
 
     def test_budget_cut(self):
         pmax = np.full(4, UNBOUNDED)
-        x = project_profile(np.array([2.0, -0.5, 3.0, 0.2]), pmax, budget=0.5)
-        assert x.mean() == pytest.approx(0.5, abs=1e-10)
-        np.testing.assert_allclose(x, [0.5, 0.0, 1.5, 0.0], atol=1e-9)
+        x = project_profile(np.array([4.0, -1.0, 6.0, 0.4]), pmax)
+        assert x.mean() == pytest.approx(1.0, abs=1e-10)
+        np.testing.assert_allclose(x, [1.0, 0.0, 3.0, 0.0], atol=1e-9)
 
     def test_idempotent(self, rng):
         pmax = rng.uniform(0.5, 3.0, 8)
@@ -129,13 +127,14 @@ class TestProjection:
 
     def test_euclidean_optimality(self, rng):
         # The projection must beat every sampled feasible point in distance.
-        pmax = np.full(3, 1.5)
-        y = np.array([2.0, 1.0, 0.4])
-        x = project_profile(y, pmax, budget=0.6)
+        # Scaled by 1 / 0.6, so that the budget cuts at the normalized budget 1.
+        pmax = np.full(3, 1.5 / 0.6)
+        y = np.array([2.0, 1.0, 0.4]) / 0.6
+        x = project_profile(y, pmax)
         dist = np.sum((x - y) ** 2)
         for _ in range(500):
-            z = rng.uniform(0, 1.5, 3)
-            if z.mean() <= 0.6:
+            z = rng.uniform(0, 1.5, 3) / 0.6
+            if z.mean() <= 1.0:
                 assert np.sum((z - y) ** 2) >= dist - 1e-9
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -145,12 +144,16 @@ class TestProjection:
         budget=st.floats(0.05, 3.0),
     )
     def test_kkt_optimality(self, y, caps, budget):
+        # Projecting onto {0 <= x <= pmax, mean(x) <= budget} is projecting
+        # y / budget onto the caps pmax / budget at budget 1, scaled back:
+        # each draw is checked at the normalized budget 1.
         pmax = caps.draw(arrays(np.float64, y.shape, elements=st.one_of(
-            st.floats(0.0, 5.0), st.just(UNBOUNDED))))
-        x = project_profile(y, pmax, budget)
+            st.floats(0.0, 5.0), st.just(UNBOUNDED)))) / budget
+        y = y / budget
+        x = project_profile(y, pmax)
         tol = 1e-9 * max(1.0, float(np.abs(y).max()))
         assert (x >= 0.0).all() and (x <= pmax).all()
-        assert x.mean() <= budget + tol
+        assert x.mean() <= 1.0 + tol
         # Stationarity: x = clip(y - tau, 0, pmax) for one multiplier
         # tau >= 0.  Free bins fix tau; bins at zero (tau >= y) and at their
         # cap (tau <= y - pmax) bracket it; zero-cap bins say nothing.
@@ -168,8 +171,8 @@ class TestProjection:
             tau = lo
         # Complementary slackness: a positive multiplier spends the budget.
         if tau > tol:
-            assert abs(x.sum() - budget * y.size) <= tol * y.size
-        np.testing.assert_allclose(x, oracle_project(y, pmax, budget), rtol=0, atol=tol)
+            assert abs(x.sum() - y.size) <= tol * y.size
+        np.testing.assert_allclose(x, oracle_project(y, pmax), rtol=0, atol=tol)
 
 
 class TestRegion:

@@ -309,6 +309,22 @@ class TestWaterfillRows:
         p1, mu1 = waterfill_rows([1.0, 2.0], [1, 1], 1, [INF, INF])
         assert p1.tolist() == [0.75, 1.25] and mu1 == 1.75
 
+    def test_subnormal_gain_is_a_dead_bin(self):
+        # The price of a subnormal gain overflows to inf: the bin is dead
+        # like a zero-gain bin, with no RuntimeWarning.  It used to count as
+        # usable, so a saturated row filled it with its infinite cap.
+        g, ones = np.array([1e-320, 2.0]), np.ones(2)
+        p, mu = waterfill_rows(g, ones, 1.0, np.full(2, INF))
+        assert p.tolist() == [0.0, 2.0] and mu == 2.5
+        inp = WaterfillInput(g=g, i=ones, Gamma=1.0, pmax=[INF, INF])
+        assert kkt_residual(p, inp) == 0.0
+        assert kkt_residual(np.array([0.5, 1.5]), inp) == 0.5
+        # Saturated: the live bin takes its cap, the dead one nothing.
+        capped = WaterfillInput(g=g, i=ones, Gamma=1.0, pmax=[INF, 1.0])
+        assert waterfill(capped).tolist() == [0.0, 1.0]
+        with pytest.raises(InfeasibleWaterfillError, match="no usable bin"):
+            waterfill_rows(np.full(2, 1e-320), ones, 1.0, np.full(2, INF))
+
     def test_all_dead_row_raises(self):
         g = np.array([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(InfeasibleWaterfillError, match="zero"):
