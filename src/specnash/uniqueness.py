@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import matrix_balance
 
 from .channel import NormalizedGame
 from .errors import InvalidInputError, NumericFailureError
@@ -232,6 +231,8 @@ def spectral_radius(M: np.ndarray) -> np.ndarray | float:
     undecided = ~((hi < 1.0 - _BOUNDARY) | (lo > 1.0 + _BOUNDARY))
     try:
         for k in map(tuple, np.argwhere(undecided)):
+            # Imported here: scipy.linalg adds ~70 ms to every cold start, for a rare fallback.
+            from scipy.linalg import matrix_balance
             balanced, _ = matrix_balance(M[k])
             rho[k] = np.abs(np.linalg.eigvals(balanced)).max()
     except np.linalg.LinAlgError as err:
