@@ -209,8 +209,8 @@ def spectral_radius(M: np.ndarray) -> np.ndarray | float:
     lo taken over the support of x (a principal sub-block) and hi over x
     floored away from zero.  Each returned root is clipped into its
     bracket.  Where the bracket does not clear the uniqueness threshold
-    1 by the 1e-9 boundary, the root is recomputed from the balanced
-    matrix's eigenvalues, so a root left within the boundary band is
+    1 by the 1e-9 boundary, the root is recomputed by an eigenvalue-only
+    solve of the balanced matrix, so a root left within the boundary band is
     reported as a boundary case by the verdicts.  A 2-D input returns a
     float.  The stack is used in its given memory layout: a copy would
     change how the matvec rounds.
@@ -229,14 +229,12 @@ def spectral_radius(M: np.ndarray) -> np.ndarray | float:
         hi = ((M @ z[..., None])[..., 0] / z).max(axis=-1)
     rho = np.array(np.clip(root, lo, hi))
     undecided = ~((hi < 1.0 - _BOUNDARY) | (lo > 1.0 + _BOUNDARY))
-    try:
-        for k in map(tuple, np.argwhere(undecided)):
-            # Imported here: scipy.linalg adds ~70 ms to every cold start, for a rare fallback.
-            from scipy.linalg import matrix_balance
-            balanced, _ = matrix_balance(M[k])
-            rho[k] = np.abs(np.linalg.eigvals(balanced)).max()
-    except np.linalg.LinAlgError as err:
-        raise NumericFailureError(f"eigen-solve failed: {err}") from err
+    if undecided.any():
+        try:
+            # eigvals (LAPACK geev) balances first, as scipy.linalg.matrix_balance would.
+            rho[undecided] = np.abs(np.linalg.eigvals(M[undecided])).max(axis=-1)
+        except np.linalg.LinAlgError as err:
+            raise NumericFailureError(f"eigen-solve failed: {err}") from err
     return rho if rho.ndim else float(rho)
 
 
