@@ -231,7 +231,7 @@ def spectral_radius(M: np.ndarray) -> np.ndarray | float:
     undecided = ~((hi < 1.0 - _BOUNDARY) | (lo > 1.0 + _BOUNDARY))
     if undecided.any():
         try:
-            # eigvals (LAPACK geev) balances first, as scipy.linalg.matrix_balance would.
+            # LAPACK geev, behind eigvals, balances each matrix (permute and scale) first.
             rho[undecided] = np.abs(np.linalg.eigvals(M[undecided])).max(axis=-1)
         except np.linalg.LinAlgError as err:
             raise NumericFailureError(f"eigen-solve failed: {err}") from err
