@@ -20,6 +20,8 @@ from .errors import InvalidInputError, NumericFailureError
 from .rng import derive_rng
 from .waterfilling import PowerProfile, WaterfillInput, waterfill, waterfill_rows
 
+SCHEDULES = ("sequential", "simultaneous")
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -94,7 +96,7 @@ def solve(
         raise InvalidInputError(f"tol must be positive, got {tol!r}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
-    if schedule not in ("sequential", "simultaneous"):
+    if schedule not in SCHEDULES:
         raise InvalidInputError(f"unknown schedule {schedule!r}")
     Q = game.Q
     direct = game.direct_gain2()

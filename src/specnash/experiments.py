@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .channel import (ChannelSet, UNBOUNDED, build_game, ratio_distances, ratio_scenario,
                       ratio_sweeps)
-from .equilibrium import classify_profile, check_allocation_rule, solve
+from .equilibrium import SCHEDULES, classify_profile, check_allocation_rule, solve
 from .errors import InvalidInputError
 # verify_diagonal_optimality stays importable here: bench/tracing.py wraps this site.
 from .matrix_oracle import verify_diagonal_optimality, verify_instance
@@ -82,7 +82,7 @@ _SCHEMAS = {
                                 "conditions": ([CONDITION_NAMES], list(CONDITION_NAMES))},
     "check_uniqueness": _COMMON | {"Dq_mode": (DQ_MODES, "virtual_interferer")},
     "psd": _COMMON | {"check_rule": (bool, False), "solver": ("psd solver", {})},
-    "psd solver": {"schedule": (str, "sequential"), "tol": (float, 1e-8),
+    "psd solver": {"schedule": (SCHEDULES, "sequential"), "tol": (float, 1e-8),
                    "max_iter": (_Ints(1), 2000)},
     "rate_region symmetric": _REGION | {
         "resolution": (_Ints(2), 16), "splits": (_Ints(1), 8), "mg_tol": (float, 1e-6),

@@ -4,8 +4,9 @@ The certificates are spectral or row/column-sum bounds on per-bin coupling
 matrices whose (q, r) entry measures how strongly interferer r impinges on
 link q relative to q's own gain.  Bins a user would never populate under
 any opponent behavior can be pruned before the matrices are built, which
-is what makes the spectral condition robust to deep fades: a bin where a
-user's direct gain vanishes also drops out of that user's matrix rows.
+is what makes the spectral condition robust to deep fades: a dead bin (its
+price Gamma/g is not finite, the waterfill kernel's rule) drops out of that
+user's matrix rows, and a user with no alive bin and ample caps is an error.
 
 Seven conditions are evaluated, from the sharp per-bin spectral-radius
 test (C1) through its max-aggregated (C2), weighted row/column-sum
@@ -22,7 +23,7 @@ import numpy as np
 
 from .channel import NormalizedGame
 from .errors import InvalidInputError, NumericFailureError
-from .waterfilling import level_solve
+from .waterfilling import bin_prices, level_solve, waterfill_rows
 
 _BOUNDARY = 1e-9
 # The usable-bin screen leaves a row to the level solve while its supply is
@@ -88,47 +89,43 @@ class UniquenessReport:
 def _usable(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
     """:func:`usable_sets` of stacked games, shape (G, Q, N).
 
-    Row (g, q, k) prices user q's alive bins at the spread interference,
-    bin k at its interference-free price a and dead bins at infinity; bin k
-    is kept when the row's level mu gives clip(mu - a, 0, cap_k) > 1e-12.
-    Supply is nondecreasing in the level, so that holds iff cap_k > 1e-12
-    and the supply at t = a + 1e-12 falls short of the target N (a user
-    whose bins cannot absorb the budget falls short at every level and
-    keeps each bin with a cap).  This screen takes one pass per row and no
-    sort; only rows whose supply at t is NaN or within a rounding band of N
-    (scaled by N and t) take the level solve.  No array outgrows one
+    A bin is alive when its interference-free price a = Gamma/g is finite; mode
+    "all" keeps the alive bins.  Otherwise row (g, q, k) prices user q's bins at
+    the spread interference and bin k at a; bin k is kept when the row's level
+    mu gives clip(mu - a, 0, cap_k) > 1e-12.  Supply is nondecreasing in the
+    level, so that holds iff cap_k > 1e-12 and the supply at t = a + 1e-12 falls
+    short of the target N (a user whose bins cannot absorb the budget falls
+    short at every level and keeps each bin with a cap).  This screen takes one
+    pass per row and no sort; only rows whose supply at t is within a rounding
+    band of N (scaled by N and t) take the level solve.  No array outgrows one
     (rows, N) price stack.
     """
     G, Q, N = direct.shape
-    if mode == "all":
-        return np.ones((G, Q, N), dtype=bool)
     if mode not in DQ_MODES:
         raise InvalidInputError(f"unknown Dq mode {mode!r}")
-    alive = direct > 0
-    if Q == 1 or N == 1:
+    free = bin_prices(direct, 1.0, Gamma[..., None])
+    alive = free < np.inf
+    if mode == "all" or Q == 1 or N == 1:
         return alive
     cross = gain2.copy()
     cross[:, range(Q), range(Q)] = 0.0
     i_spread = 1.0 + cross.max(axis=1) * (float(Q - 1) * N / (N - 1))
-    gamma, safe = Gamma[..., None], np.where(alive, direct, 1.0)
+    base = bin_prices(direct, i_spread, Gamma[..., None])
     g, q, k = np.nonzero(alive)
-    with np.errstate(over="ignore"):  # a subnormal direct gain prices its bin out
-        base = np.where(alive, gamma * i_spread / safe, np.inf)
-        own = (gamma / safe)[g, q, k]
+    own = free[g, q, k]
     capped = np.isfinite(pmax).any()  # else no (rows, N) copy of inf caps
     cap = pmax[g, q, k]
     t = own + 1e-12
     supply = base[g, q]
-    with np.errstate(invalid="ignore"):  # inf - inf: the row stays open
-        np.subtract(t[:, None], supply, out=supply)
-        supply[np.arange(k.size), k] = t - own
-        np.maximum(supply, 0.0, out=supply)
-        if capped:
-            np.minimum(supply, pmax[g, q], out=supply)
-        shortfall = float(N) - supply.sum(-1)
+    np.subtract(t[:, None], supply, out=supply)
+    supply[np.arange(k.size), k] = t - own
+    np.maximum(supply, 0.0, out=supply)
+    if capped:
+        np.minimum(supply, pmax[g, q], out=supply)
+    shortfall = float(N) - supply.sum(-1)
     band = _SCREEN_BAND * N * (np.abs(t) + 1.0)
     kept_rows = (shortfall > band) & (cap > 1e-12)
-    todo = np.flatnonzero(~(np.abs(shortfall) > band) & (cap > 1e-12))
+    todo = np.flatnonzero((np.abs(shortfall) <= band) & (cap > 1e-12))
     if todo.size:
         g, q, k, own, cap = g[todo], q[todo], k[todo], own[todo], cap[todo]
         prices = base[g, q]
@@ -143,7 +140,7 @@ def _usable(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
 def usable_sets(game: NormalizedGame, mode: str = "virtual_interferer") -> np.ndarray:
     """Per-user masks of the bins a user could populate under some opponent play, (Q, N).
 
-    mode="all" keeps every bin.  mode="virtual_interferer" replaces all
+    mode="all" keeps every alive bin (finite Gamma/g).  mode="virtual_interferer" replaces all
     opponents of user q by a single adversary holding their pooled budget
     and, per bin, the strongest cross gain; a bin is dropped only if user q
     still leaves it empty when the adversary spends everything on the
@@ -156,18 +153,17 @@ def usable_sets(game: NormalizedGame, mode: str = "virtual_interferer") -> np.nd
 def _couplings(gain2, direct, Gamma, kept, cols=None) -> np.ndarray:
     """:func:`coupling_stack` of stacked games, shape (G, N, Q, Q).
 
-    Entry (q, r) of bin k needs q to keep the bin in ``kept`` and r in
+    Entry (q, r) of bin k needs q to keep the (alive) bin in ``kept`` and r in
     ``cols`` (default ``kept``).  Each game's block is a strided (N, Q, Q)
     view laid out as for a game alone, which fixes how its matvecs round.
     """
-    if (kept & (direct <= 0)).any():
-        raise NumericFailureError("zero direct gain inside a kept bin set (internal invariant)")
     Q = direct.shape[1]
-    # ratio[g, q, r, k] = gain2[g, r, q, k] / direct[g, q, k], inf on a subnormal direct gain
-    with np.errstate(over="ignore"):
-        ratio = gain2.transpose(0, 2, 1, 3) / np.where(kept, direct, 1.0)[:, :, None, :]
     both = kept[:, :, None, :] & (kept if cols is None else cols)[:, None, :, :]
-    H = Gamma[:, :, None, None] * ratio * both
+    # H[g, q, r, k] = Gamma[g, q] gain2[g, r, q, k] / direct[g, q, k] (inf where it overflows).
+    # The product with ``both`` sets that layout; entries it drops may be NaN, so they are zeroed.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        H = Gamma[:, :, None, None] * (gain2.transpose(0, 2, 1, 3) / direct[:, :, None, :]) * both
+    H[~both] = 0.0
     H[:, range(Q), range(Q)] = 0.0
     return H.transpose(0, 3, 1, 2)
 
@@ -176,12 +172,15 @@ def coupling_stack(game: NormalizedGame, kept: np.ndarray) -> np.ndarray:
     """All per-bin coupling matrices at once, shape (N, Q, Q).
 
     Entry (q, r) of bin k's matrix is Gamma_q * gain2[r, q, k] /
-    gain2[q, q, k] when both users keep bin k, else 0; diagonals are 0.
+    gain2[q, q, k] when both users keep bin k, else 0; diagonals are 0.  A
+    kept bin must be alive (see :func:`usable_sets`).
     """
     kept = np.asarray(kept, dtype=bool)
     if kept.shape != (game.Q, game.N):
         raise InvalidInputError("kept mask must be (Q, N)")
-    gain2, direct, _, Gamma = _stacked([game])
+    gain2, direct, pmax, Gamma = _stacked([game])
+    if (kept & ~_usable(gain2, direct, pmax, Gamma, "all")[0]).any():
+        raise InvalidInputError("kept mask holds a dead bin (its price Gamma/g is not finite)")
     return _couplings(gain2, direct, Gamma, kept[None])[0]
 
 
@@ -309,6 +308,10 @@ def _stage(games, Dq_mode: str) -> tuple:
     """
     gain2, direct, pmax, Gamma = _stacked(list(games))
     G, Q, N = direct.shape
+    alive = _usable(gain2, direct, pmax, Gamma, "all")
+    dead = ~alive.any(-1)
+    if dead.any():  # the kernel raises for such a user unless its caps fall short of the budget
+        waterfill_rows(direct[dead], np.ones((dead.sum(), N)), Gamma[dead], pmax[dead])
     kept = _usable(gain2, direct, pmax, Gamma, Dq_mode)
     Hk = _couplings(gain2, direct, Gamma, kept)
     Hmax = Hk.max(axis=1)
@@ -321,7 +324,6 @@ def _stage(games, Dq_mode: str) -> tuple:
     # C5-C7 ignore bin pruning.  The strongest coupling into user q runs
     # over q's alive bins whatever the interferer's gain there; C7 keeps
     # the bins both users can use.
-    alive = direct > 0
     into_alive = _couplings(gain2, direct, Gamma, alive, np.ones_like(alive))
     strongest = into_alive.max(axis=(1, 2, 3))
     H7 = into_alive * alive.transpose(0, 2, 1)[:, :, None, :]

@@ -11,9 +11,9 @@ bins that can enter sum to at least N * budget, with no tolerance (caps
 summing to exactly that put every bin at its cap).  If all caps sum to
 less, the constraint set pins every bin to its cap and that trivial
 allocation is returned; if only the usable bins fall short, they are
-saturated.  A bin is usable when its price Gamma*i(k)/g(k) is finite: bins
-with g(k) = 0, or so small that the price overflows, carry an infinite
-price and receive zero power whenever the budget can be met.
+saturated.  A bin is usable when its price Gamma*i(k)/g(k) (:func:`bin_prices`)
+is finite: bins with g(k) = 0, or so small that the price overflows, carry
+an infinite price and receive zero power whenever the budget can be met.
 
 The level is found by :func:`level_solve`, an exact sort-based solve over
 the piecewise-linear supply curve (O(N log N)) that also serves stacks of
@@ -36,8 +36,6 @@ import numpy as np
 
 from .channel import NormalizedGame
 from .errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
-
-_TINY = float(np.finfo(np.float64).tiny)  # below it, a gain's price Gamma*i/g can overflow
 
 
 @dataclass(frozen=True)
@@ -79,9 +77,8 @@ class WaterfillInput:
     budget: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=np.float64))
-        object.__setattr__(self, "i", np.asarray(self.i, dtype=np.float64))
-        object.__setattr__(self, "pmax", np.asarray(self.pmax, dtype=np.float64))
+        for name in ("g", "i", "pmax"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         object.__setattr__(self, "Gamma", float(self.Gamma))
         object.__setattr__(self, "budget", float(self.budget))
         if not (self.g.shape == self.i.shape == self.pmax.shape) or self.g.ndim != 1:
@@ -100,6 +97,13 @@ class WaterfillInput:
     @property
     def N(self) -> int:
         return self.g.size
+
+
+def bin_prices(g, i, Gamma) -> np.ndarray:
+    """Prices Gamma * i / g: +inf exactly on a dead bin (g = 0, or a quotient that overflows, as
+    Gamma * i >= 1).  The package's one rule for whether a bin can carry power."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return Gamma * i / g
 
 
 @cache
@@ -227,13 +231,8 @@ def waterfill_rows(g, i, Gamma, pmax, budget: float = 1.0):
     # scalar, which keeps the one-row path as fast as a plain 1-D solve.
     rows = g.ndim > 1
     col = (lambda a: np.asarray(a)[..., None]) if rows else (lambda a: a)
-    gi = col(Gamma) * i
     target = budget * g.shape[-1]
-    if g.min() >= _TINY:
-        prices = gi / g
-    else:
-        with np.errstate(over="ignore"):  # a dead bin's infinite price keeps it empty
-            prices = np.divide(gi, g, out=np.full(gi.shape, np.inf), where=g > 0.0)
+    prices = bin_prices(g, i, col(Gamma))
     mu = level_solve(prices, pmax, target)
     # np.clip without its dispatch overhead, which shows at N = 64.
     p = np.minimum(np.maximum(col(mu) - prices, 0.0), pmax)
@@ -296,8 +295,7 @@ def kkt_residual(p: np.ndarray, inp: WaterfillInput) -> float:
     if p.mean() > inp.budget + 1e-9:
         raise InvalidInputError("power vector exceeds the budget")
 
-    with np.errstate(divide="ignore", over="ignore"):
-        all_prices = inp.Gamma * inp.i / inp.g
+    all_prices = bin_prices(inp.g, inp.i, inp.Gamma)
     usable = all_prices < np.inf
     atol = 1e-12 * max(1.0, inp.budget)
     target = inp.budget * inp.N
@@ -309,9 +307,7 @@ def kkt_residual(p: np.ndarray, inp: WaterfillInput) -> float:
         # Saturation branch: usable bins at cap, dead bins irrelevant.
         return float(np.abs(p[usable] - inp.pmax[usable]).max()) if usable.any() else 0.0
 
-    prices = all_prices[usable]
-    caps = inp.pmax[usable]
-    pu = p[usable]
+    prices, caps, pu = all_prices[usable], inp.pmax[usable], p[usable]
     level = prices + pu
     at_zero = pu <= atol
     at_cap = np.isfinite(caps) & (pu >= caps - atol)

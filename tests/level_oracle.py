@@ -5,6 +5,11 @@ by bisecting on the supply curve of one row; ``oracle_project`` projects a
 vector onto {0 <= x <= pmax, mean(x) <= 1} by bisecting on the simplex
 multiplier.  Neither shares code with ``specnash.waterfilling.level_solve``,
 which solves both problems exactly by walking sorted breakpoints.
+
+``oracle_prices`` is the bin-price computation of ``waterfill_rows`` as it
+stood before ``specnash.waterfilling.bin_prices``: a plain quotient when
+every gain is at least the smallest normal float, else a masked division
+that gives a zero gain an infinite price.
 """
 
 from __future__ import annotations
@@ -12,6 +17,21 @@ from __future__ import annotations
 import numpy as np
 
 from specnash.errors import InfeasibleWaterfillError
+
+
+_TINY = float(np.finfo(np.float64).tiny)  # below it, a gain's price Gamma*i/g can overflow
+
+
+def oracle_prices(g: np.ndarray, i: np.ndarray, Gamma) -> np.ndarray:
+    """Prices Gamma*i/g of a stack of rows, infinite on a zero or overflowing gain.
+
+    As before, the plain quotient can overflow (with a warning) on a normal gain.
+    """
+    gi = Gamma * i
+    if g.min() >= _TINY:
+        return gi / g
+    with np.errstate(over="ignore"):  # a dead bin's infinite price keeps it empty
+        return np.divide(gi, g, out=np.full(gi.shape, np.inf), where=g > 0.0)
 
 
 def oracle_level(prices: np.ndarray, caps: np.ndarray, target: float, iters: int = 200) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from specnash import NumericFailureError
+from specnash import InvalidInputError, NumericFailureError
 from specnash.channel import build_game
 from specnash.cli import main
 from specnash.experiments import (
@@ -456,6 +456,20 @@ class TestVerifyTheorem1Driver:
 
 
 class TestPsdDriver:
+    def test_unknown_schedule_builds_no_channel(self, tmp_path, monkeypatch):
+        # The schema took any string, so solve rejected "jacobi" only after
+        # one build_game call.
+        import specnash.experiments as experiments_mod
+
+        built, build = [], experiments_mod.build_game
+        monkeypatch.setattr(experiments_mod, "build_game", lambda ch: built.append(ch) or build(ch))
+        cfg = {"seed": 0, "scenario": {"Q": 2, "N": 8}, "solver": {"schedule": "jacobi"}}
+        with pytest.raises(InvalidInputError, match="unknown schedule 'jacobi'"):
+            run_psd(cfg, str(tmp_path / "x.csv"))
+        assert built == []
+        run_psd(cfg | {"solver": {"schedule": "simultaneous"}}, str(tmp_path / "x.csv"))
+        assert len(built) == 1
+
     @pytest.mark.parametrize("change,named", [
         ({"trial": 10}, "trial"),
         ({"solver": {"tolerance": 1e-10}}, "tolerance"),
@@ -812,20 +826,54 @@ class TestConfigValidation:
             "error: gamma and d must give d**gamma > 0, got gamma=1e+300 with d entry 0.5\n")
 
     def test_user_with_no_usable_bin_exit_code(self, tmp_path, capsys):
-        # A direct tap of 1e-160 gives gain2 1e-320, whose price overflows:
-        # solve warned "overflow encountered in divide", filled the bins
-        # with their infinite caps and exited 1 naming interference factors.
-        taps = [[[[1e-160, 0.0]], [[0.3, 0.0]]], [[[0.2, 0.0]], [[0.8, 0.0]]]]
-        scen = {"taps": taps, "d": [[1.0, 2.0], [2.0, 1.0]], "gamma": 2.5,
-                "P": [1.0, 1.0], "sigma2": [1.0, 1.0], "Gamma": [1.0, 1.0], "N": 4}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc, out = self.run(tmp_path, "solve", {"seed": 1, "scenario": scen})
-        assert rc == 1
-        assert not out.exists()
-        assert capsys.readouterr().err == (
-            "error: a user has no usable bin (each gain is zero or too small for a finite "
-            "price) and caps above its budget\n")
+        # A user whose every bin is dead (zero gain, or a gain of 1e-320 whose
+        # price overflows) is indifferent among its strategies, so no command
+        # may certify or solve the game.  At the 1e-160 tap, solve warned
+        # "overflow encountered in divide" and exited 1 naming interference
+        # factors, and check-uniqueness exited 3 on a NaN eigen-solve; at
+        # the zero taps, check-uniqueness exited 0 with C1-C7 all true.
+        # montecarlo takes ratio entries only: snr_db -3200 gives gains of
+        # about 1e-320 (it exited 0), and tap_variance 0 zero taps (it exited 3
+        # on the "all" mode's internal invariant).
+        one_tap = lambda direct: [[[[direct, 0.0]], [[0.3, 0.0]]], [[[0.2, 0.0]], [[0.8, 0.0]]]]
+        raw = {"d": [[1.0, 2.0], [2.0, 1.0]], "gamma": 2.5, "P": [1.0, 1.0],
+               "sigma2": [1.0, 1.0], "Gamma": [1.0, 1.0], "N": 4}
+        zero = one_tap(1.0)
+        zero[1][1] = [[0.0, 0.0]]
+        runs = [(command, {"seed": 1, "scenario": raw | {"taps": taps}} | extra)
+                for taps in (one_tap(1e-160), zero)
+                for command, extra in (("solve", {}), ("check-uniqueness", {}),
+                                       ("check-uniqueness", {"Dq_mode": "all"}))]
+        runs += [("montecarlo", {"trials": 2, "scenario": {"Q": 2, "N": 8} | scen})
+                 for scen in ({"snr_db": -3200.0}, {"tap_variance": 0.0})]
+        for command, cfg in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, out = self.run(tmp_path, command, cfg)
+            assert rc == 1, (command, cfg)
+            assert not out.exists()
+            assert capsys.readouterr().err == (
+                "error: a user has no usable bin (each gain is zero or too small for a finite "
+                "price) and caps above its budget\n"), (command, cfg)
+        # User 1's direct taps [1, 1] zero out only bin 2 of N = 2: every
+        # command runs, and no usable set holds that bin.  With Dq_mode
+        # "all", check-uniqueness kept it and exited 3 on "zero direct gain
+        # inside a kept bin set (internal invariant)".
+        two_taps = [[[[1.0, 0.0], [1.0, 0.0]], [[0.3, 0.0], [0.0, 0.0]]],
+                    [[[0.2, 0.0], [0.0, 0.0]], [[0.8, 0.0], [0.0, 0.0]]]]
+        scen = raw | {"taps": two_taps, "N": 2}
+        for mode in ("all", "virtual_interferer"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc, out = self.run(tmp_path, "check-uniqueness", {"scenario": scen, "Dq_mode": mode})
+            assert rc == 0 and capsys.readouterr().err == ""
+            report = json.loads(out.read_text())
+            assert report["usable"][0] == [True, False], mode
+            assert not any(v["error"] for v in report["conditions"].values())
+        rc, out = self.run(tmp_path, "solve", {"scenario": scen})
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:3]]
+        assert [float(power) for *_, power in rows] == [pytest.approx(2.0, abs=1e-12), 0.0]
 
     @pytest.mark.parametrize("command,cfg,key", [
         ("solve", PSD_CFG | {"scenario": PSD_CFG["scenario"] | {"d_ratio": 0.0}}, "d_ratio"),

@@ -423,6 +423,14 @@ class TestAllocationRule:
         assert not all(rule2.pairs.values())
         assert rule2.violations
 
+    def test_user_owning_no_bin(self):
+        # User 1 transmits nowhere: its premise is vacuous and each pair
+        # holds, with user 0's premise margin max(0.5/8, 0.5/1).
+        game = self._crafted_game()
+        rule = check_allocation_rule(np.array([[1.0, 1.0], [0.0, 0.0]]), game)
+        assert rule.pairs == {(0, 1): True, (1, 0): True}
+        assert rule.violations == [] and rule.premise_margin == 0.5
+
     def test_premise_guard(self):
         from specnash import NormalizedGame
 

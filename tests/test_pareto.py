@@ -354,6 +354,48 @@ class TestMinmax:
                 assert mm.method == "grid"
                 assert mm.value <= ne_rates[q] + 1e-6
 
+    def test_grid_three_bins(self):
+        # (Q, N) = (2, 3), the largest gridded face: every face point spends
+        # the whole budget within its caps, and the value is the max-min of
+        # the rates over the two faces.
+        game = build_game(ratio_scenario(2, 3, d_ratio=3.0, seed=4, channel_order=1))
+        faces = [pareto._budget_face_grid(game.pmax[r], 8) for r in range(2)]
+        for face in faces:
+            np.testing.assert_allclose(face.sum(axis=1), 3.0, rtol=0, atol=1e-12)
+            assert len(face) > 8 and (face >= 0.0).all()
+        mm = minmax_bound(game, 0, grid=8)
+        brute = max(min(rate_array(np.stack([own, opp]), game)[0] for opp in faces[1])
+                    for own in faces[0])
+        assert mm.method == "grid"
+        assert mm.value == pytest.approx(brute, rel=1e-12)
+        assert mm.profile.p[0].sum() == pytest.approx(3.0, abs=1e-12)
+
+    def test_grid_one_bin(self):
+        # One bin: each face is the single point p = 1, so the value is the
+        # rate with both users at full power.
+        gain2 = np.array([[[2.0], [0.5]], [[0.3], [1.5]]])
+        game = NormalizedGame(gain2=gain2, pmax=np.full((2, 1), UNBOUNDED), Gamma=np.ones(2))
+        for q in range(2):
+            mm = minmax_bound(game, q)
+            assert mm.method == "grid" and mm.profile.p[q].tolist() == [1.0]
+            assert mm.value == pytest.approx(rate_array(np.ones((2, 1)), game)[q], rel=1e-12)
+
+    def test_grid_with_caps_short_of_the_budget(self):
+        # User 1's caps sum to 0.7 < N = 2: its face collapses to the cap
+        # vector, so user 1's value is its worst rate over user 0's face,
+        # and user 0's is its best rate against the caps.
+        gain2 = np.array([[[2.0, 1.0], [0.5, 0.2]], [[0.3, 0.6], [1.5, 1.0]]])
+        caps = np.array([0.3, 0.4])
+        game = NormalizedGame(gain2=gain2, pmax=np.stack([np.full(2, UNBOUNDED), caps]),
+                              Gamma=np.ones(2))
+        rates = [rate_array(np.stack([[t, 2.0 - t], caps]), game)
+                 for t in np.linspace(0.0, 2.0, 16)]
+        mm1 = minmax_bound(game, 1, grid=16)
+        assert mm1.method == "grid" and mm1.profile.p[1].tolist() == caps.tolist()
+        assert mm1.value == pytest.approx(min(r[1] for r in rates), rel=1e-12)
+        mm0 = minmax_bound(game, 0, grid=16)
+        assert mm0.value == pytest.approx(max(r[0] for r in rates), rel=1e-12)
+
     def test_grid_beyond_desk_scale_is_rejected(self):
         game = build_game(ratio_scenario(2, 4, seed=3, channel_order=2))
         with pytest.raises(InvalidInputError, match="desk-scale"):

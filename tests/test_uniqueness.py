@@ -7,7 +7,8 @@ import specnash.uniqueness as uniqueness
 from conftest import FIG1_RATIOS, fig1_games, flat_game
 from matrix_classes import is_K, is_P, is_Z
 from perron_oracle import oracle_spectral_radius
-from specnash import InvalidInputError, NumericFailureError, UNBOUNDED, build_game, ratio_scenario
+from specnash import (InfeasibleWaterfillError, InvalidInputError, NumericFailureError, UNBOUNDED,
+                      build_game, ratio_scenario)
 from specnash.channel import NormalizedGame
 from specnash.uniqueness import (
     CONDITION_NAMES,
@@ -280,6 +281,21 @@ class TestCouplingMatrices:
                 ref[q, r] = max(stack[k][q, r] for k in range(8))
         np.testing.assert_allclose(stack.max(axis=0), ref)
 
+    def test_kept_dead_bin_is_rejected(self):
+        # A zero gain and a gain of 1e-320 (price 1e320) are dead bins: a kept
+        # mask holding one used to raise NumericFailureError, or divide by it.
+        gain2 = np.ones((2, 2, 3))
+        gain2[0, 0, 1], gain2[1, 1, 2] = 0.0, 1e-320
+        game = NormalizedGame(gain2=gain2, pmax=np.full((2, 3), UNBOUNDED), Gamma=np.ones(2))
+        alive = usable_sets(game, "all")
+        assert alive.tolist() == [[True, False, True], [True, True, False]]
+        assert coupling_stack(game, alive)[0].tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        for q, k in ((0, 1), (1, 2)):
+            kept = alive.copy()
+            kept[q, k] = True
+            with pytest.raises(InvalidInputError, match="dead bin"):
+                coupling_stack(game, kept)
+
     def test_gap_scales_rows(self):
         base = flat_game(Q=2, coupling=0.3, N=1)
         gapped = NormalizedGame(gain2=base.gain2, pmax=base.pmax, Gamma=np.array([2.0, 1.0]))
@@ -321,17 +337,17 @@ class TestCheckConditions:
         assert report["C7"].margin == pytest.approx(0.5, abs=1e-9)
 
     def test_nan_margin_is_an_error_verdict(self):
-        # A subnormal direct gain overflows its couplings to inf, and the C7
-        # eigen-solve returns NaN: that verdict used to read False, no error.
-        # The overflow is expected where it happens, so no warning escapes.
+        # Bin 0 of user 0 is alive (its price 1e300 is finite), but its
+        # coupling 1e10 / 1e-300 overflows to inf, and the C7 eigen-solve
+        # returns NaN: that verdict used to read False, no error.  The
+        # overflow is expected where it happens, so no warning escapes.
         g = np.ones((2, 2, 4))
-        g[0, 0, 0] = 1e-320
-        report = check_conditions(NormalizedGame(
-            gain2=g, pmax=np.full((2, 4), UNBOUNDED), Gamma=np.ones(2)))
+        g[0, 0, 0], g[1, 0, 0] = 1e-300, 1e10
+        game = NormalizedGame(gain2=g, pmax=np.full((2, 4), UNBOUNDED), Gamma=np.ones(2))
+        report = check_conditions(game)
         c7 = report["C7"]
         assert c7.satisfied is None and np.isnan(c7.margin) and c7.error == "C7 margin is NaN"
         assert report["C1"].error is None and not report.satisfied("C7")
-        game = NormalizedGame(gain2=g, pmax=np.full((2, 4), UNBOUNDED), Gamma=np.ones(2))
         assert verdict_codes([game, flat_game(Q=2, coupling=0.25, N=4)])[:, 6].tolist() == [3, 1]
 
     def test_single_user_all_pass(self):
@@ -418,6 +434,10 @@ class TestCertificateLatticeProperty:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(game=games())
     def test_lattice_and_oracle_agreement(self, game):
+        if not game.direct_gain2().any(axis=1).all():  # an uncapped user with no usable bin
+            with pytest.raises(InfeasibleWaterfillError, match="no usable bin"):
+                check_conditions(game)
+            return
         report = check_conditions(game)
         c1 = report.satisfied("C1")
         if report.satisfied("C2"):
@@ -441,7 +461,7 @@ def report_text(report) -> str:
 def oracle_text(game, mode) -> str:
     try:
         return report_text(oracle_check_conditions(game, mode))
-    except (InvalidInputError, NumericFailureError) as err:
+    except (InfeasibleWaterfillError, InvalidInputError, NumericFailureError) as err:
         return type(err).__name__
 
 
@@ -497,7 +517,8 @@ class TestStackAgainstOracle:
             if expected.startswith("{"):
                 assert report_text(check_conditions(game, mode)) == expected
             else:  # bins that cannot be certified
-                with pytest.raises((InvalidInputError, NumericFailureError)) as err:
+                with pytest.raises((InfeasibleWaterfillError, InvalidInputError,
+                                    NumericFailureError)) as err:
                     check_conditions(game, mode)
                 assert type(err.value).__name__ == expected
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from equilibrium_oracle import oracle_waterfill
-from level_oracle import oracle_level
+from level_oracle import oracle_level, oracle_prices
 from specnash import (
     InfeasibleWaterfillError,
     InvalidInputError,
@@ -16,7 +16,7 @@ from specnash import (
     kkt_residual,
     waterfill,
 )
-from specnash.waterfilling import level_solve, waterfill_rows
+from specnash.waterfilling import bin_prices, level_solve, waterfill_rows
 
 INF = UNBOUNDED
 
@@ -351,6 +351,34 @@ class TestWaterfillRows:
             assert waterfill(inp).tolist() == [1.0] * 64
 
 
+@st.composite
+def price_rows(draw):
+    """Stacks of rows whose gains mix zero, subnormal, 1e-300 and ordinary values.
+
+    Gains near 1e-300 and factors Gamma * i up to 1e7 put some prices just
+    past the float range, where a normal gain's price overflows too.
+    """
+    shape = draw(st.sampled_from([(7,), (3, 5), (2, 2, 4)]))
+    gains = (st.sampled_from([0.0, 5e-324, 1e-310, 1e-300]) | st.floats(1e-307, 1e-295)
+             | st.floats(1e-6, 1e6))
+    g = draw(arrays(np.float64, shape, elements=gains))
+    i = draw(arrays(np.float64, shape, elements=st.floats(1.0, 1e6)))
+    Gamma = draw(arrays(np.float64, shape[:-1], elements=st.floats(1.0, 10.0)))
+    return g, i, Gamma[..., None] if len(shape) > 1 else float(draw(st.floats(1.0, 10.0)))
+
+
+class TestBinPrices:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(rows=price_rows())
+    def test_equals_the_replaced_price_code(self, rows):
+        g, i, Gamma = rows
+        with np.errstate(over="ignore"):  # the replaced quotient warned on an overflow
+            expected = oracle_prices(g, i, Gamma)
+        prices = bin_prices(g, i, Gamma)
+        assert prices.shape == g.shape and prices.tobytes() == expected.tobytes()
+        assert (prices[g == 0.0] == np.inf).all() and not np.isnan(prices).any()
+
+
 class TestLevelSolve:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(problem=level_problems())
@@ -435,6 +463,14 @@ class TestKktResidual:
         inp = WaterfillInput(g=[1, 1], i=[1, 1], Gamma=1, pmax=[0.4, 0.4], budget=1)
         assert kkt_residual(np.array([0.4, 0.4]), inp) == 0.0
         assert kkt_residual(np.array([0.1, 0.4]), inp) == pytest.approx(0.3)
+
+    def test_no_interior_bin(self):
+        # Bin 0 sits at its cap 2 with level 1 + 2 = 3, above bin 1's price
+        # 1 at zero: with no interior bin the level is their midpoint 2, and
+        # each side misses it by 1.  The optimum [1, 1] has no residual.
+        inp = WaterfillInput(g=[1, 1], i=[1, 1], Gamma=1, pmax=[2.0, INF], budget=1)
+        assert kkt_residual(np.array([2.0, 0.0]), inp) == 1.0
+        assert waterfill(inp).tolist() == [1.0, 1.0]
 
     def test_budget_slack_detected(self):
         inp = WaterfillInput(g=[4, 1], i=[1, 1], Gamma=1, pmax=[INF, INF], budget=1)

@@ -11,6 +11,10 @@ double loop.  It shares the eigen-solvers ``spectral_radius`` and
 ``oracle_usable_stack`` is the stacked usable-set kernel as it stood before
 the supply screen: every (game, user, alive bin) row goes through one level
 solve.
+
+A bin is alive when its interference-free price Gamma/g is finite
+(``oracle_alive``), and a user with no alive bin and caps that can absorb
+its budget has no certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from specnash.channel import NormalizedGame
-from specnash.errors import InvalidInputError, NumericFailureError
+from specnash.errors import InfeasibleWaterfillError, InvalidInputError, NumericFailureError
 from specnash.uniqueness import (DQ_MODES, ConditionVerdict, UniquenessReport, perron_weights,
                                  spectral_radius)
 from specnash.waterfilling import level_solve
@@ -26,15 +30,21 @@ from specnash.waterfilling import level_solve
 _BOUNDARY = 1e-9
 
 
+def oracle_alive(direct, Gamma) -> np.ndarray:
+    """Bins whose interference-free price Gamma/g is finite: the bins that can carry power."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return Gamma / direct < np.inf
+
+
 def oracle_usable_carriers(game: NormalizedGame, q: int, mode: str = "virtual_interferer"):
     """Boolean mask of bins user q could populate under some opponent play."""
     Q, N = game.Q, game.N
     if mode == "all":
-        return np.ones(N, dtype=bool)
+        return oracle_alive(game.gain2[q, q, :], game.Gamma[q])
     if mode != "virtual_interferer":
         raise InvalidInputError(f"unknown Dq mode {mode!r}")
     direct = game.gain2[q, q, :]
-    alive = direct > 0
+    alive = oracle_alive(direct, game.Gamma[q])
     if Q == 1 or N == 1 or not alive.any():
         return alive
     cross = np.delete(game.gain2[:, q, :], q, axis=0)
@@ -65,10 +75,10 @@ def oracle_usable_stack(gain2, direct, pmax, Gamma, mode: str) -> np.ndarray:
     """
     G, Q, N = direct.shape
     if mode == "all":
-        return np.ones((G, Q, N), dtype=bool)
+        return oracle_alive(direct, Gamma[..., None])
     if mode not in DQ_MODES:
         raise InvalidInputError(f"unknown Dq mode {mode!r}")
-    alive = direct > 0
+    alive = oracle_alive(direct, Gamma[..., None])
     if Q == 1 or N == 1:
         return alive
     cross = gain2.copy()
@@ -116,6 +126,10 @@ def _verdict_less_than_one(name: str, margin: float, detail: dict) -> ConditionV
 def oracle_check_conditions(game: NormalizedGame, Dq_mode: str = "virtual_interferer"):
     """All seven uniqueness conditions of one game, with margins."""
     Q, N = game.Q, game.N
+    if (~oracle_alive(game.direct_gain2(), game.Gamma[:, None]).any(axis=1)
+            & (game.pmax.sum(axis=1) >= N)).any():
+        raise InfeasibleWaterfillError("a user has no usable bin (each gain is zero or too small "
+                                       "for a finite price) and caps above its budget")
     kept = oracle_usable_sets(game, Dq_mode)
     Hk = oracle_coupling_stack(game, kept)
     try:
@@ -157,7 +171,7 @@ def oracle_check_conditions(game: NormalizedGame, Dq_mode: str = "virtual_interf
     )
 
     direct = game.direct_gain2()
-    alive = direct > 0
+    alive = oracle_alive(direct, game.Gamma[:, None])
     pair_max = np.zeros((Q, Q))
     for q in range(Q):
         for r in range(Q):
