@@ -340,17 +340,9 @@ def run_uniqueness_mc(cfg: dict, out_path: str, workers: int = 1) -> dict:
                 errors[(ratio, mode, name)] = int(counts["error"][i, j, c])
                 rows.append(f"{_fmt(ratio)},{name},{mode},{_fmt(p)},{trials}")
     _write_csv(out_path, ["d_ratio", "condition", "Dq_mode", "prob", "trials"], rows)
-    _write_meta(
-        out_path,
-        {
-            "kind": "uniqueness_mc",
-            "config": cfg,
-            "trials": trials,
-            "probabilities": {
-                f"{r}:{m}:{n}": v for (r, m, n), v in sorted(probs.items())
-            },
-        },
-    )
+    _write_meta(out_path, {"kind": "uniqueness_mc", "config": cfg, "trials": trials,
+                           "probabilities": {f"{r}:{m}:{n}": v
+                                             for (r, m, n), v in sorted(probs.items())}})
     return {"probs": probs, "boundary": boundary, "errors": errors, "trials": trials,
             "ratios": ratios, "modes": modes}
 
@@ -385,29 +377,19 @@ def run_psd(cfg: dict, out_path: str) -> dict:
                [f"{q},{k},{v!r}" for q, powers in enumerate(res.profile.p.tolist(), 1)
                 for k, v in enumerate(powers, 1)])
 
-    meta = {
-        "kind": "psd",
-        "config": cfg,
-        "converged": res.converged,
-        "iterations": res.iterations,
-        "residual": res.residual,
-        "rates": rate_array(res.profile.p, game).tolist(),
-    }
+    meta = {"kind": "psd", "config": cfg, "converged": res.converged,
+            "iterations": res.iterations, "residual": res.residual,
+            "rates": rate_array(res.profile.p, game).tolist()}
     cls = res.classification or classify_profile(res.profile.p, game)
-    meta["classification"] = {
-        "orthogonal": cls.orthogonal,
-        "shared_carriers": cls.shared_carriers,
-        "flatness": cls.flatness.tolist(),
-        "exclusive": [(idx + 1).tolist() for idx in cls.exclusive],
-    }
+    meta["classification"] = {"orthogonal": cls.orthogonal, "shared_carriers": cls.shared_carriers,
+                              "flatness": cls.flatness.tolist(),
+                              "exclusive": [(idx + 1).tolist() for idx in cls.exclusive]}
     if conf["check_rule"] and cls.orthogonal:
         try:
             rule = check_allocation_rule(res, game)
             meta["allocation_rule"] = {
                 "pairs": {f"{r + 1}->{q + 1}": ok for (r, q), ok in rule.pairs.items()},
-                "violations": rule.violations,
-                "premise_margin": rule.premise_margin,
-            }
+                "violations": rule.violations, "premise_margin": rule.premise_margin}
         except InvalidInputError as err:
             meta["allocation_rule"] = {"skipped": str(err)}
     _write_meta(out_path, meta)
@@ -476,9 +458,8 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         d[0, 1] = geo * np.sqrt(ratio)
         d[1, 0] = geo / np.sqrt(ratio)
         losses = []
-        for s in range(conf["seeds"]):
-            ch = scenario_from_config(dict(scen, d=d), seed=(root_seed, s))
-            game = build_game(ch)
+        games = ratio_sweeps([(root_seed, s) for s in range(conf["seeds"])], [d], **dict(scen, d=d))
+        for s, game in enumerate(games):
             ne = solve(game, tol=1e-9)
             ne_rates = rate_array(ne.profile.p, game)
             sc_res = solve_scalarized(game, np.ones(2), restarts=conf["restarts"],
@@ -492,12 +473,12 @@ def run_rate_region(cfg: dict, out_path: str) -> dict:
         meta["max_loss"] = max(losses)
     else:
         seeds = conf["seeds"]
+        d = scen["d"] if scen["d"] is not None else ratio_distances(scen["Q"], scen["d_ratio"])
         means = {}
         for L in conf["orders"]:
             acc = np.zeros(Q_out)
-            for s in range(seeds):
-                ch = scenario_from_config(dict(scen, channel_order=L), seed=(root_seed, L, s))
-                game = build_game(ch)
+            for game in ratio_sweeps([(root_seed, L, s) for s in range(seeds)], [d],
+                                     **dict(scen, channel_order=L)):
                 ne = solve(game, tol=1e-8)
                 acc += rate_array(ne.profile.p, game)
             means[L] = acc / seeds
@@ -530,12 +511,8 @@ def run_verify_theorem1(cfg: dict, out_path: str) -> dict:
         results += [{"instance": inst, "user": q, "payoff": payoff, "violations": rep.violations,
                      "max_gap": rep.max_gap, "best_response_value": rep.best_response_value}
                     for (q, payoff), rep in zip(pairs, reports)]
-    report = {
-        "kind": "verify_theorem1",
-        "config": cfg,
-        "total_violations": sum(r["violations"] for r in results),
-        "worst_gap": float(max(r["max_gap"] for r in results)),
-        "results": results,
-    }
+    report = {"kind": "verify_theorem1", "config": cfg,
+              "total_violations": sum(r["violations"] for r in results),
+              "worst_gap": float(max(r["max_gap"] for r in results)), "results": results}
     _write_json(out_path, report)
     return report

@@ -262,17 +262,12 @@ def _codes(margin, above_zero) -> np.ndarray:
                      holds).astype(np.int8)
 
 
-def _verdict(name: str, margin, detail, above_zero: bool = False) -> ConditionVerdict:
-    """Verdict of a margin that must stay below 1 or, for C7, above 0.
-
-    ``margin`` may be the error that left it unknown: that or a NaN margin gives an error verdict.
-    """
+def _verdict(name: str, margin, detail, above_zero=False, error=None) -> ConditionVerdict:
+    """Verdict of a margin that must stay below 1 or, for C7, above 0; NaN quotes ``error``."""
     threshold = 0.0 if above_zero else 1.0
-    failed = isinstance(margin, NumericFailureError)
-    code = 3 if failed else int(_codes(margin, above_zero))
+    code = int(_codes(margin, above_zero))
     if code == 3:
-        error = str(margin) if failed else f"{name} margin is NaN"
-        return ConditionVerdict(name, None, np.nan, threshold, {}, error=error)
+        return ConditionVerdict(name, None, np.nan, threshold, {}, error or f"{name} margin is NaN")
     return ConditionVerdict(name=name, satisfied=(False, True, None)[code], margin=float(margin),
                             threshold=threshold, detail=detail)
 
@@ -285,26 +280,40 @@ def _stacked(games) -> tuple:
     return tuple(np.stack(field) for field in zip(*fields))
 
 
-def _radii(H: np.ndarray) -> list:
-    """Spectral radii of each game's matrices, or the NumericFailureError of its eigen-solve.
+def _radii(M: np.ndarray, solve, axes: int = 2) -> tuple:
+    """``solve`` of each game's matrices in a stack M (G, ...): every eigen-solve's one guard.
 
-    One solve serves the whole stack; only if it fails are the games solved
-    one by one, so one failing game leaves the others' radii intact.
+    Returns the results (M's shape without its last ``axes`` axes) and each
+    game's error message or None.  A game whose matrices are not all finite
+    is not solved, and a solve that raises fails only its game: its results
+    are NaN, an error verdict.  One solve serves a finite stack, else each
+    finite game is solved as a one-game view of M (its layout fixes how the
+    Collatz-Wielandt matvec rounds).
     """
-    try:
-        return list(spectral_radius(H))
-    except NumericFailureError as err:
-        return [err] if len(H) == 1 else [r for g in range(len(H)) for r in _radii(H[g:g + 1])]
+    finite = np.isfinite(M).reshape(len(M), -1).all(axis=1)
+    errors = [None] * len(M)
+    if finite.all():
+        try:
+            return solve(M), errors
+        except NumericFailureError:
+            pass
+    out = np.full(M.shape[:M.ndim - axes], np.nan)
+    for g in np.flatnonzero(finite):
+        try:
+            out[g] = solve(M[g:g + 1])[0]
+        except NumericFailureError as err:
+            errors[g] = str(err)
+    return out, errors
 
 
 def _stage(games, Dq_mode: str) -> tuple:
     """What :func:`check_conditions` and :func:`verdict_codes` share, for stacked games.
 
-    Returns the usable sets (G, Q, N), the coupling stack (G, N, Q, Q), C2's
-    radius of each game (or the NumericFailureError of its eigen-solve),
-    the C3-C6 margins (G, 4), C7's matrices I + sym(H) (G, N, Q, Q) and the
-    arrays that the report details quote: both weightings, their C3/C4
-    sums, whether Perron weights won and the strongest coupling.
+    Returns the usable sets (G, Q, N), the coupling stack (G, N, Q, Q) and
+    its entrywise maximum over the bins, the C3-C6 margins (G, 4), C7's
+    matrices I + sym(H) (G, N, Q, Q) and what the reports quote: both
+    weightings, their C3/C4 sums, whether Perron weights won, the strongest
+    coupling and each game's Perron eigen-solve error.
     """
     gain2, direct, pmax, Gamma = _stacked(list(games))
     G, Q, N = direct.shape
@@ -315,57 +324,65 @@ def _stage(games, Dq_mode: str) -> tuple:
     kept = _usable(gain2, direct, pmax, Gamma, Dq_mode)
     Hk = _couplings(gain2, direct, Gamma, kept)
     Hmax = Hk.max(axis=1)
-    weights = {"unit": np.ones((G, Q)), "perron": perron_weights(Hmax)}
+    perron_w, weight_errors = _radii(Hmax, perron_weights, axes=1)
+    weights = {"unit": np.ones((G, Q)), "perron": perron_w}
     sums = {(name, label): (np.einsum(spec, Hk, w) / w[:, None, :]).max(axis=(1, 2))
             for label, w in weights.items()
             for name, spec in (("C3", "gkqr,gr->gkq"), ("C4", "gkqr,gq->gkr"))}
-    # The better weighting wins; unit weights on a tie.
-    perron = {name: sums[name, "perron"] < sums[name, "unit"] for name in ("C3", "C4")}
+    # The better weighting wins; unit weights on a tie.  Without Perron weights (NaN sums),
+    # unit weights that do not certify leave the margin NaN: an error, never a false.
+    perron = {name: (sums[name, "perron"] < sums[name, "unit"]) | np.isnan(sums[name, "perron"])
+              & (sums[name, "unit"] >= 1.0 - _BOUNDARY) for name in ("C3", "C4")}
     # C5-C7 ignore bin pruning.  The strongest coupling into user q runs
     # over q's alive bins whatever the interferer's gain there; C7 keeps
     # the bins both users can use.
     into_alive = _couplings(gain2, direct, Gamma, alive, np.ones_like(alive))
     strongest = into_alive.max(axis=(1, 2, 3))
-    H7 = into_alive * alive.transpose(0, 2, 1)[:, :, None, :]
+    H7 = np.where(alive.transpose(0, 2, 1)[:, :, None, :], into_alive, 0.0)  # no inf * 0
     S = np.eye(Q) + 0.5 * (H7 + H7.swapaxes(-1, -2))
     margins = np.column_stack(
         [np.where(perron[name], sums[name, "perron"], sums[name, "unit"]) for name in ("C3", "C4")]
         + [strongest * (Q - 1), strongest * max(2 * Q - 3, 0)])
-    return kept, Hk, _radii(Hmax), margins, S, (weights, sums, perron, strongest)
+    return kept, Hk, Hmax, margins, S, (weights, sums, perron, strongest, weight_errors)
 
 
-def _c1_margins(Hk: np.ndarray) -> np.ndarray:
-    """C1 margins of a coupling stack (G, N, Q, Q), shape (G,), decided by bounds first.
+def _c1_margins(H: np.ndarray, exact: bool = False) -> tuple:
+    """C1 margins of coupling stacks H (G, N, Q, Q), shape (G,), decided by bounds first.
 
-    For a nonnegative H, rho(H) <= min(max row sum, max column sum) and
-    rho(H) >= sqrt(H[q, r] H[r, q]) for every q != r.  A game whose upper
-    bound is below 1 - 1e-9 on every bin holds, and one with a bin whose
-    lower bound is above 1 + 1e-9 fails, each past a 1e-12 slack; its
-    margin is that bound.  Only the games left open take the eigen-solve,
-    each as a one-game view of the stack (its layout fixes how the
-    Collatz-Wielandt matvec rounds): the margin is its largest radius, or
-    NaN where it fails.
+    C2 is this test on the (G, 1, Q, Q) stack of entrywise maxima.  For a
+    nonnegative H, rho(H) <= min(max row sum, max column sum) and rho(H) >=
+    sqrt(H[q, r] H[r, q]) for every q != r.  A game whose upper bound is
+    below 1 - 1e-9 on every bin holds, and one with a bin whose lower bound
+    is above 1 + 1e-9 fails, each past a 1e-12 slack; its margin is that
+    bound.  The rest (and, if ``exact``, every finite game) take the
+    eigen-solve, each as a one-game view of the stack (:func:`_radii`): the
+    margin is the largest radius, NaN where unsolved.  Also returns the
+    radii (G, N) and the errors.
     """
-    with np.errstate(over="ignore"):  # an overflowing bound is inf, and still a bound
-        upper = np.minimum(Hk.sum(-1).max(-1), Hk.sum(-2).max(-1)).max(-1)
-        lower = np.sqrt(Hk * Hk.swapaxes(-1, -2)).max(axis=(1, 2, 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing bound is inf, still a bound
+        upper = np.minimum(H.sum(-1).max(-1), H.sum(-2).max(-1)).max(-1)
+        # inf * 0 is NaN: that pair bounds nothing, and fmax passes over it.
+        lower = np.sqrt(np.fmax.reduce((H * H.swapaxes(-1, -2)).reshape(len(H), -1), axis=1))
     holds = upper < 1.0 - _BOUNDARY - _BOUND_SLACK
     margin = np.where(holds, upper, lower)
-    for g in np.flatnonzero(~holds & ~(lower > 1.0 + _BOUNDARY + _BOUND_SLACK)):
-        rho_k = _radii(Hk[g:g + 1])[0]
-        margin[g] = np.nan if isinstance(rho_k, NumericFailureError) else rho_k.max()
-    return margin
+    decided = holds | (lower > 1.0 + _BOUNDARY + _BOUND_SLACK)
+    todo = ~decided | exact & np.isfinite(H).all(axis=(1, 2, 3))
+    radii, errors = np.full(H.shape[:2], np.nan), [None] * len(H)
+    for g in np.flatnonzero(todo):
+        (radii[g],), (errors[g],) = _radii(H[g:g + 1], spectral_radius)
+        margin[g] = radii[g].max()
+    return margin, radii, errors
 
 
 def _eigmins(S: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric matrix in a stack (..., Q, Q)."""
+    """Smallest eigenvalue of each symmetric matrix in a stack (..., Q, Q): C7's eigen-solve."""
     try:
         return np.linalg.eigvalsh(S)[..., 0]
     except np.linalg.LinAlgError as err:
         raise NumericFailureError(f"eigen-solve failed: {err}") from err
 
 
-def _c7_margins(S: np.ndarray) -> np.ndarray:
+def _c7_margins(S: np.ndarray, exact: bool = False) -> tuple:
     """C7 margins of the stacks S = I + sym(H) (G, N, Q, Q), shape (G,), decided by bounds first.
 
     S has a unit diagonal and nonnegative off-diagonal entries, so a bin's
@@ -373,11 +390,11 @@ def _c7_margins(S: np.ndarray) -> np.ndarray:
     (interlacing on a 2x2 principal block) and at least 1 minus its largest
     off-diagonal row sum (Gershgorin).  A game whose upper bound is below
     -1e-9 on some bin fails, and one whose lower bound is above 1e-9 on
-    every bin holds, each past a slack of 1e-12 (1 + largest row sum) that
-    covers the rounding of the bounds and of the eigen-solve; its margin is
-    that bound.  The games left open, and every game holding an entry that
-    is not finite or is above 1e150, take the eigen-solve: the margin is
-    their smallest eigenvalue, NaN where the solve returns NaN.
+    every bin holds, each past a slack of 1e-12 (1 + largest row sum); its
+    margin is that bound.  The rest (every game, if ``exact``), and every
+    game with an entry above 1e150 or not finite, take the eigen-solve
+    (:func:`_radii`): the margin is the smallest eigenvalue, NaN where
+    unsolved.  Also returns each bin's smallest eigenvalue and the errors.
     """
     off = S - np.eye(S.shape[-1])
     with np.errstate(over="ignore"):  # an overflowing row sum is inf, and still a bound
@@ -386,10 +403,12 @@ def _c7_margins(S: np.ndarray) -> np.ndarray:
     slack = _BOUNDARY + _BOUND_SLACK * (1.0 + rows)
     holds = lower > slack
     margin = np.where(holds, lower, upper)
-    todo = ~holds & ~(upper < -slack) | ~(S <= 1e150).all(axis=(1, 2, 3))
+    todo = exact | ~holds & ~(upper < -slack) | ~(S <= 1e150).all(axis=(1, 2, 3))
+    eigmins, errors = np.full(S.shape[:2], np.nan), np.full(len(S), None)
     if todo.any():
-        margin[todo] = _eigmins(S[todo]).min(axis=1)
-    return margin
+        eigmins[todo], errors[todo] = _radii(S[todo], _eigmins)
+        margin[todo] = eigmins[todo].min(axis=1)
+    return margin, eigmins, errors
 
 
 def verdict_codes(games, Dq_mode: str = "virtual_interferer") -> np.ndarray:
@@ -397,20 +416,19 @@ def verdict_codes(games, Dq_mode: str = "virtual_interferer") -> np.ndarray:
 
     Column c is condition ``CONDITION_NAMES[c]``; a code indexes
     :data:`VERDICT_KINDS` (0 false, 1 true, 2 boundary, 3 error).  The games
-    are certified as one stack: C2-C6 come from the arrays that
-    :func:`check_conditions` reads.  C1 and C7 are decided by rigorous
-    bounds where they suffice (:func:`_c1_margins`, :func:`_c7_margins`),
-    and their eigen-solves run only on the games the bounds leave open, so a
-    failing C1 solve turns only those into errors.
+    are certified as one stack: C3-C6 come from the arrays that
+    :func:`check_conditions` reads.  C1 and C2 (:func:`_c1_margins`) and C7
+    (:func:`_c7_margins`) are decided by rigorous bounds where they suffice,
+    and only the games left open take an eigen-solve, each through one
+    per-game guard (:func:`_radii`): a game whose matrix is not finite or
+    whose solve fails has an error code on each condition that needed it.
     """
-    _, Hk, rho_max, margins, S, _ = _stage(games, Dq_mode)
-    c2 = [np.nan if isinstance(rho, NumericFailureError) else rho for rho in rho_max]
-    return _codes(np.column_stack([_c1_margins(Hk), c2, margins, _c7_margins(S)]), _ABOVE_ZERO)
+    _, Hk, Hmax, margins, S, _ = _stage(games, Dq_mode)
+    return _codes(np.column_stack([_c1_margins(Hk)[0], _c1_margins(Hmax[:, None])[0], margins,
+                                   _c7_margins(S)[0]]), _ABOVE_ZERO)
 
 
-def check_conditions(
-    game: NormalizedGame, Dq_mode: str = "virtual_interferer"
-) -> UniquenessReport:
+def check_conditions(game: NormalizedGame, Dq_mode: str = "virtual_interferer") -> UniquenessReport:
     """Evaluate all seven uniqueness conditions with margins.
 
     C1: per-bin spectral radii below 1 (the sharp test).
@@ -421,23 +439,28 @@ def check_conditions(
         resp. 1/(2Q-3) (no bin pruning, per their original statements).
     C7: I + H(k) positive definite for every bin, tested through the
         symmetric part, with no bin pruning.
-    Every margin is exact: C1 reports each bin's radius, C7 the smallest
-    eigenvalue over the bins.
+    Every margin is exact: C1 reports each bin's radius, C2 its matrix's
+    (one path, :func:`_c1_margins`), C7 the smallest eigenvalue over the
+    bins.  A condition whose eigen-solve raises is an error verdict.  A
+    matrix that is not finite is not solved: C1 and C2 take a bound that
+    decides them, as in :func:`verdict_codes`, and are errors where none
+    does; C7 is an error.  Without Perron weights, C3/C4 hold where unit
+    weights certify them and are errors otherwise.
     """
-    kept, Hk, (rho_max,), margins, S, (weights, sums, perron, strongest) = _stage([game], Dq_mode)
-    eigmins = _eigmins(S[0])
-    (rho_k,) = _radii(Hk)
-    failed = isinstance(rho_k, NumericFailureError)
-    verdicts = [_verdict("C1", rho_k if failed else rho_k.max(), {} if failed else {
-        "rho_per_bin": rho_k, "argmax_bin": int(rho_k.argmax())}), _verdict("C2", rho_max, {})]
+    kept, Hk, Hmax, margins, S, (weights, sums, perron, strongest, w_err) = _stage([game], Dq_mode)
+    (m1,), (rho_k,), (e1,) = _c1_margins(Hk, exact=True)
+    (m2,), _, (e2,) = _c1_margins(Hmax[:, None], exact=True)
+    (m7,), (eigmins,), (e7,) = _c7_margins(S, exact=True)
+    verdicts = [_verdict("C1", m1, {} if np.isnan(rho_k).any() else {
+        "rho_per_bin": rho_k, "argmax_bin": int(rho_k.argmax())}, error=e1),
+                _verdict("C2", m2, {}, error=e2)]
     for c, name in enumerate(("C3", "C4")):
         best = "perron" if perron[name][0] else "unit"
         verdicts.append(_verdict(name, margins[0, c], {
             "weights": weights[best][0], "weighting": best,
-            "unit_margin": float(sums[name, "unit"][0])}))
+            "unit_margin": float(sums[name, "unit"][0])}, error=w_err[0]))
     for c, name, n in ((2, "C5", game.Q - 1), (3, "C6", 2 * game.Q - 3)):
         verdicts.append(_verdict(name, margins[0, c], {
             "strongest_pair": float(strongest[0]), "threshold_raw": 1.0 / max(n, 1)}))
-    verdicts.append(_verdict("C7", eigmins.min(), {"argmin_bin": int(eigmins.argmin())},
-                             above_zero=True))
+    verdicts.append(_verdict("C7", m7, {"argmin_bin": int(eigmins.argmin())}, True, e7))
     return UniquenessReport({v.name: v for v in verdicts}, Dq_mode, kept[0])

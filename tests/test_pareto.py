@@ -449,6 +449,22 @@ class TestAscentOracle:
         assert res.profile.p.tobytes() == p.tobytes()
         assert (res.residual, res.iterations, res.converged) == (residual, iterations, converged)
 
+    def test_backtracking_floor_stays_put(self):
+        # Against the gradient every step loses value, so the halving
+        # backtrack reaches its floor (alpha < 1e-13) and yields the same p
+        # with move 0, step after step.
+        game = _ascent_games()[0]
+        w = np.ones(game.Q)
+
+        def value(q):
+            return float(w @ rate_array(q, game))
+
+        p = project_all(np.minimum(1.0, game.pmax), game)
+        steps = pareto._ascent(value, lambda q: -scalarized_gradient(q, game, w),
+                               lambda q: project_all(q, game), p, 1.0)
+        for _, (q, val, move) in zip(range(3), steps):
+            assert q is p and val == value(p) and move == 0.0
+
     @pytest.mark.parametrize("game", _ascent_games())
     def test_scalarized_gradient_matches_per_user_maps(self, game):
         rng = np.random.default_rng(game.Q * game.N)

@@ -344,11 +344,23 @@ class TestCheckConditions:
         g = np.ones((2, 2, 4))
         g[0, 0, 0], g[1, 0, 0] = 1e-300, 1e10
         game = NormalizedGame(gain2=g, pmax=np.full((2, 4), UNBOUNDED), Gamma=np.ones(2))
+        good = flat_game(Q=2, coupling=0.25, N=4)
         report = check_conditions(game)
         c7 = report["C7"]
         assert c7.satisfied is None and np.isnan(c7.margin) and c7.error == "C7 margin is NaN"
         assert report["C1"].error is None and not report.satisfied("C7")
-        assert verdict_codes([game, flat_game(Q=2, coupling=0.25, N=4)])[:, 6].tolist() == [3, 1]
+        assert verdict_codes([game, good])[:, 6].tolist() == [3, 1]
+        # Dq_mode "all" keeps bin 0, so the overflow reaches C1's, C2's and the
+        # Perron weights' matrices too; it used to fail the eigen-solve of the
+        # whole stack.  Now it is an error verdict of its own game only: C1 and
+        # C2 fail by their pair bound (inf), C3/C4 have no Perron weights and
+        # unit weights that do not certify them, and C7 is NaN.
+        report = check_conditions(game, "all")
+        codes = verdict_codes([game, good], "all")
+        assert codes.tolist() == [report_codes(report), report_codes(check_conditions(good, "all"))]
+        assert codes[0].tolist() == [0, 0, 3, 3, 0, 0, 3]
+        assert codes[1].tolist() == verdict_codes([good], "all")[0].tolist()
+        assert report["C1"].margin == np.inf and report["C3"].error == "C3 margin is NaN"
 
     def test_single_user_all_pass(self):
         ch = ratio_scenario(1, 4, seed=1, channel_order=2)
@@ -604,7 +616,8 @@ def code_stacks(draw):
     Gains span twelve decades with dead and subnormal direct gains, some
     games are capped, and some have their cross gains rescaled so that C1's
     radius with every bin kept is 1 -/+ 5e-10 (inside the boundary band) or
-    1 -/+ 2e-9 (just outside it).
+    1 -/+ 2e-9 (just outside it).  In about one game in four a direct gain
+    of 1e-300 under a cross gain of 1e10 makes a coupling that overflows.
     """
     Q, N = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     stack = []
@@ -625,6 +638,10 @@ def code_stacks(draw):
                 cross = ~np.eye(Q, dtype=bool)
                 gain2[cross] *= rho / now
                 game = NormalizedGame(gain2=gain2, pmax=pmax, Gamma=Gamma)
+        if Q > 1 and draw(st.integers(0, 3)) == 0:  # a coupling of 1e10 / 1e-300 overflows
+            q, k = draw(st.integers(0, Q - 1)), draw(st.integers(0, N - 1))
+            gain2[q, q, k], gain2[(q + 1) % Q, q, k] = 1e-300, 1e10
+            game = NormalizedGame(gain2=gain2, pmax=pmax, Gamma=Gamma)
         stack.append(game)
     return stack
 
@@ -710,12 +727,13 @@ class TestVerdictCodes:
 
     def test_fig1_games_take_few_eigen_solves(self, monkeypatch):
         radii, eigmins = uniqueness._radii, uniqueness._eigmins
-        c1_solves, c7_solves = [], []
+        c1_solves, c2_solves, c7_solves = [], [], []
+        kinds = np.zeros((len(CONDITION_NAMES), len(VERDICT_KINDS)), dtype=int)
 
-        def counted_radii(H):
-            if H.ndim == 4:  # C1's per-bin stack, one game at a time
-                c1_solves.append(len(H))
-            return radii(H)
+        def counted_radii(M, solve, axes=2):
+            if solve is uniqueness.spectral_radius:  # one game at a time, C2's (1, 1, Q, Q)
+                (c2_solves if M.shape[1] == 1 else c1_solves).append(len(M))
+            return radii(M, solve, axes)
 
         def counted_eigmins(S):
             c7_solves.append(len(S))  # C7's per-bin stacks of the games left open
@@ -730,9 +748,17 @@ class TestVerdictCodes:
                     mp.setattr(uniqueness, "_radii", counted_radii)
                     mp.setattr(uniqueness, "_eigmins", counted_eigmins)
                     assert verdict_codes(games, mode).tolist() == expected
+                for c, code in np.ndenumerate(np.array(expected).T):
+                    kinds[c[0], code] += 1
                 games_seen += len(games)
-        assert set(c1_solves) == {1}
+        # The traffic the bounds-then-solve rule serves, for CI's step summary.
+        print(f"\neigen-solves left by the bounds on {games_seen} Fig. 1 games (seed 3, 25 trials, "
+              f"both Dq modes): C1 {len(c1_solves)}, C2 {len(c2_solves)}, C7 {sum(c7_solves)}")
+        for name, counts in zip(CONDITION_NAMES, kinds):
+            print(f"{name} verdicts: " + ", ".join(f"{k} {n}" for k, n in zip(VERDICT_KINDS, counts)))
+        assert set(c1_solves) == {1} and set(c2_solves) == {1}
         assert 0 < len(c1_solves) < games_seen / 3
+        assert 0 < len(c2_solves) < games_seen / 3
         assert 0 < sum(c7_solves) < games_seen / 10
 
     def test_eigen_failure_spares_bound_decided_games(self, monkeypatch):
@@ -749,7 +775,7 @@ class TestVerdictCodes:
         codes = verdict_codes(games)
         assert expected[:, 0].tolist() == [1, 0, 0]
         assert codes[:, 0].tolist() == [1, 3, 0]
-        assert (codes[:, 1] == 3).all()  # C2 always takes the eigen-solve
+        assert codes[:, 1].tolist() == [1, 3, 0]  # C2 takes C1's bounds first
         np.testing.assert_array_equal(codes[:, 2:], expected[:, 2:])
 
     def test_eigen_failure_stays_with_its_game(self, monkeypatch):
@@ -767,6 +793,54 @@ class TestVerdictCodes:
         np.testing.assert_array_equal(codes[0], expected[0])
         assert codes[1, :2].tolist() == [3, 3]
         np.testing.assert_array_equal(codes[1, 2:], expected[1, 2:])
+
+    @pytest.mark.parametrize("coupling,codes14", [(0.75, [3, 3, 3, 3]), (0.25, [1, 1, 1, 1])])
+    def test_perron_failure_stays_with_its_game(self, monkeypatch, coupling, codes14):
+        # np.linalg.eig fails on one flat Q = 3 game's matrices, so its C1/C2
+        # solves (if its bounds leave them open) and its Perron weights fail.
+        # Its C3/C4 then hold where unit weights certify them (0.25: row sums
+        # 0.5) and are errors otherwise (0.75: 1.5); the other game's codes stay.
+        games = [flat_game(Q=3, coupling=coupling, N=4), flat_game(Q=3, coupling=0.4, N=4)]
+        expected = verdict_codes(games)
+        eig = np.linalg.eig
+
+        def failing(a):
+            if (a == coupling).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eig(a)
+
+        monkeypatch.setattr(uniqueness.np.linalg, "eig", failing)
+        codes = verdict_codes(games)
+        np.testing.assert_array_equal(codes[1], expected[1])
+        assert codes[0, :4].tolist() == codes14
+        np.testing.assert_array_equal(codes[0, 4:], expected[0, 4:])
+        report = check_conditions(games[0])
+        assert report_codes(report)[2:4] == codes14[2:]
+        if coupling == 0.75:
+            assert report["C3"].error == "eigen-solve failed: Eigenvalues did not converge"
+        else:
+            assert report["C3"].detail["weighting"] == "unit"
+
+    def test_c7_failure_stays_with_its_game(self, monkeypatch):
+        # Flat Q = 3 couplings 0.6 and 0.55: both C7 margins (1 - c) lie
+        # between their bounds (1 - 2c and 1 - c), so both games take the
+        # solve, and eigvalsh fails on the first only.
+        games = [flat_game(Q=3, coupling=c, N=4) for c in (0.6, 0.55)]
+        expected = verdict_codes(games)
+        eigvalsh = np.linalg.eigvalsh
+
+        def failing(a):
+            if (a == 0.6).any():
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(uniqueness.np.linalg, "eigvalsh", failing)
+        codes = verdict_codes(games)
+        np.testing.assert_array_equal(codes[1], expected[1])
+        assert codes[0, 6] == 3 and expected[:, 6].tolist() == [1, 1]
+        np.testing.assert_array_equal(codes[0, :6], expected[0, :6])
+        report = check_conditions(games[0])
+        assert report["C7"].error == "eigen-solve failed: Eigenvalues did not converge"
 
     def test_balanced_resolve_failure_is_an_error_verdict(self, monkeypatch):
         # Flat Q = 3 coupling 0.5 has radius 1.0 on every bin, so the bracket
